@@ -13,14 +13,11 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .criteria import CRITERIA, count_params, select_model
-from .data import CAT, DataError, Dataset, Hyperparameters
+from .data import DataError, Hyperparameters
 from .em import EmConfig, EmError
 from .io import read_csv, read_partition, read_schema
-from .micl import MiclConfig  # noqa: F401  (re-exported knob for API users)
 from .simulate import (CONTINUOUS_TRIDIAG, MIXED_INDEP, InvalidShape,
                        LengthMismatch, NoRoot, NonPositiveRate, ScenarioSpec, ari)
 from .campaign import run_campaign
@@ -113,7 +110,7 @@ def cmd_cluster(args, argv) -> int:
 
     _write_manifest(args.out, mid, argv, args.seed, info,
                     {"criterion": args.criterion, "gmax": args.gmax,
-                     "starts": args.starts, "threads": args.threads}, timings)
+                     "starts": args.starts}, timings)
     print(f"selected g={report.best.g}, {int(report.best.model.omega.sum())}/"
           f"{dataset.d} relevant columns, {args.criterion}={report.best.value:.6f}")
     print(f"results written to {args.out}")
@@ -180,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--starts", type=int, default=20)
     pc.add_argument("--seed", type=int, required=True)
     pc.add_argument("--out", required=True, help="output directory")
-    pc.add_argument("--threads", type=int, default=1)
     pc.set_defaults(func=cmd_cluster)
 
     ps = sub.add_parser("simulate", help="run a replicated benchmark campaign")

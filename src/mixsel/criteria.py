@@ -3,7 +3,7 @@ top-level model-selection driver sweeping the component count."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -101,12 +101,7 @@ def select_model(dataset: Dataset, criterion: str, g_max: int, config: EmConfig,
     report = SelectionReport(criterion=criterion)
     em_results: dict[int, EmResult] = {}
     for g in range(1, g_max + 1):
-        cfg = EmConfig(seed=derive_seed(config.seed, 17, g),
-                       max_iterations=config.max_iterations,
-                       rel_tolerance=config.rel_tolerance,
-                       n_starts=config.n_starts,
-                       empty_component_policy=config.empty_component_policy,
-                       max_redraws=config.max_redraws)
+        cfg = replace(config, seed=derive_seed(config.seed, 17, g))
         t0 = time.perf_counter()
         if criterion in ("bic", "aic"):
             c = 0.5 * np.log(n) if criterion == "bic" else 1.0
@@ -134,11 +129,8 @@ def select_model(dataset: Dataset, criterion: str, g_max: int, config: EmConfig,
     report.best = _argbest(report.records)
     if criterion == "micl":
         # inference for the selected model only
-        cfg = EmConfig(seed=derive_seed(config.seed, 23),
-                       max_iterations=config.max_iterations,
-                       rel_tolerance=config.rel_tolerance,
-                       n_starts=config.n_starts)
-        refit = run_em(dataset, report.best.model, cfg)
+        refit = run_em(dataset, report.best.model,
+                       replace(config, seed=derive_seed(config.seed, 23)))
         report.theta, report.fuzzy = refit.theta, refit.fuzzy
         report.best.theta = refit.theta
         report.best.loglik = refit.loglik

@@ -11,7 +11,7 @@ Conventions shared by all engines:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from scipy.special import gammaln
 
 import numpy as np
@@ -381,7 +381,7 @@ class Packed:
         self.level_mask = np.zeros((gr.n_cat, self.m_max), dtype=bool)
         for jj in range(gr.n_cat):
             self.level_mask[jj, : self.m[jj]] = True
-        self.n_j = ds.observed_counts.astype(float)
+        self.nu = np.array([k.n_free_params for k in ds.kinds], dtype=float)  # per column
         self._row_obs: list | None = None
 
         # Global (one-class) maximum-likelihood blocks; these are the shared
@@ -398,11 +398,13 @@ class Packed:
             np.divide(self.Xi.sum(axis=0), ni, out=np.zeros_like(ni), where=ni > 0))
         cnt = self.onehot.sum(axis=0)
         self.gprobs = densities.floor_probs(cnt, self.level_mask)
+        # per-cell Gaussian log-densities at the global blocks, masked cells 0;
+        # the EM reuses them for every shared continuous column
+        self.gLc = densities.normal_logpdf(self.Xc, self.gmu, self.gsig) * self.Mc
         # per-column log-likelihood at the global blocks (masked cells skipped)
         gll = np.zeros(ds.d)
         if gr.n_cont:
-            L = densities.normal_logpdf(self.Xc, self.gmu, self.gsig)
-            gll[gr.cont] = (L * self.Mc).sum(axis=0)
+            gll[gr.cont] = self.gLc.sum(axis=0)
         if gr.n_int:
             L = self.Xi * np.log(self.grate) - self.grate
             gll[gr.integer] = (L * self.Mi).sum(axis=0) - self.lgam.sum(axis=0)

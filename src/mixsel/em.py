@@ -4,6 +4,12 @@ Both engines share one mask-aware code path: masked cells are stored as 0 and
 excluded through 0/1 mask matrices, so with a fully observed dataset the
 arithmetic reduces exactly to the complete-data formulas.
 
+An iteration is one M step (``_m_kernel``, where the penalized engine also
+re-chooses the relevance vector from the per-column Delta) and one E step
+(``_e_kernel``); the public ``e_step``, ``m_step`` and ``penalized_m_step``
+wrap the same kernels. The Gaussian per-cell log-densities are evaluated once
+per iteration, in the M step, and feed both the Delta and the next E step.
+
 The penalized engine maximizes `loglik - nu_m * c` jointly over the relevance
 vector and the parameters; `c = ln(n)/2` yields the BIC, `c = 1` the AIC.
 """
@@ -16,9 +22,11 @@ from scipy.special import logsumexp
 
 from . import densities as dens
 from .data import Dataset, Model, Packed, Parameters
+from .util import seeded_rng
 
 EMPTY_COMPONENT_TOL = 1e-8
 WEIGHT_TOL = 1e-12
+MAX_REDRAWS = 10  # redraws of a start whose component empties; the last one floors
 
 
 class EmError(RuntimeError):
@@ -33,32 +41,25 @@ class EmptyComponent(EmError):
 
 class DegenerateComponent(EmError):
     """A component collapsed onto a variance spike on a relevant continuous
-    column (singleton or exact-duplicate class). Handled like an empty
-    component: redraw the start, floor as the last resort."""
+    column (singleton or exact-duplicate class). The start is redrawn, and
+    discarded if it keeps collapsing."""
 
 
 @dataclass
 class EmConfig:
-    """Knobs shared by the EM engines.
-
-    ``penalty_c`` is only read by the CLI plumbing; the penalized runner takes
-    the penalty constant explicitly. ``empty_component_policy`` is either
-    "restart" (redraw the start, up to ``max_redraws``, then floor) or "floor".
-    """
+    """Knobs shared by the EM engines: the seed of the starts, the iteration
+    budget and relative-change stopping rule of one run, and the number of
+    random starts. The penalty constant is an argument of the penalized
+    runner."""
 
     seed: int
     max_iterations: int = 500
     rel_tolerance: float = 1e-6
     n_starts: int = 20
-    penalty_c: float | None = None
-    empty_component_policy: str = "restart"
-    max_redraws: int = 10
 
     def __post_init__(self):
         if self.max_iterations < 1 or self.n_starts < 1 or self.rel_tolerance <= 0:
             raise ValueError("invalid EM configuration")
-        if self.empty_component_policy not in ("restart", "floor"):
-            raise ValueError("empty_component_policy must be 'restart' or 'floor'")
 
 
 @dataclass
@@ -79,21 +80,28 @@ class EmResult:
 # vectorized building blocks
 # ---------------------------------------------------------------------------
 
-def _log_component_matrix(packed: Packed, theta: Parameters, cols: np.ndarray | None = None):
+def _cont_logdens(packed: Packed, mu, sigma) -> list:
+    """Per class k, the (n, n_cont) Gaussian log-densities at (mu[k],
+    sigma[k]); masked cells are 0."""
+    return [dens.normal_logpdf(packed.Xc, mu[k], sigma[k]) * packed.Mc
+            for k in range(len(mu))]
+
+
+def _log_component_matrix(packed: Packed, theta: Parameters, Lc: list,
+                          cols: np.ndarray | None = None):
     """(n, g) sums of per-cell log densities over the selected columns.
 
-    ``cols`` is a boolean column selector over the full dataset (None = all).
-    Masked cells contribute 0.
+    ``Lc`` holds the continuous per-cell log-densities at ``theta`` (see
+    ``_cont_logdens``). ``cols`` is a boolean column selector over the full
+    dataset (None = all). Masked cells contribute 0.
     """
     gr = packed.groups
     g = theta.g
     V = np.zeros((packed.n, g))
     if gr.n_cont:
         sel = slice(None) if cols is None else np.flatnonzero(cols[gr.cont])
-        Xc, Mc = packed.Xc[:, sel], packed.Mc[:, sel]
         for k in range(g):
-            L = dens.normal_logpdf(Xc, theta.mu[k, sel], theta.sigma[k, sel])
-            V[:, k] += (L * Mc).sum(axis=1)
+            V[:, k] += Lc[k][:, sel].sum(axis=1)
     if gr.n_int:
         sel = slice(None) if cols is None else np.flatnonzero(cols[gr.integer])
         Xi, Mi = packed.Xi[:, sel], packed.Mi[:, sel]
@@ -143,22 +151,21 @@ def _per_class_blocks(packed: Packed, st: dict):
     return mu, sigma, rate, probs
 
 
-def _weighted_loglik_by_column(packed: Packed, t: np.ndarray, st: dict,
-                               mu, sigma, rate, probs):
+def _weighted_loglik_by_column(packed: Packed, t: np.ndarray, st: dict, Lc: list,
+                               rate, probs):
     """(d,) expected log-likelihood per column at the given per-class blocks,
     i.e. sum over classes and observed cells of t_ik * log f_kj.
 
-    The continuous part is evaluated cell by cell: the sufficient-statistic
-    expansion of sum t (x - mu)^2 cancels catastrophically once sigma sits
-    on its floor.
+    The continuous part is evaluated cell by cell (``Lc`` at the per-class
+    blocks): the sufficient-statistic expansion of sum t (x - mu)^2 cancels
+    catastrophically once sigma sits on its floor.
     """
     gr = packed.groups
     out = np.zeros(packed.d)
     if gr.n_cont:
         acc = np.zeros(gr.n_cont)
         for k in range(t.shape[1]):
-            L = dens.normal_logpdf(packed.Xc, mu[k], sigma[k])
-            acc += t[:, k] @ (L * packed.Mc)
+            acc += t[:, k] @ Lc[k]
         out[gr.cont] = acc
     if gr.n_int:
         terms = st["Si"] * np.log(rate) - st["Wi"] * rate
@@ -173,7 +180,6 @@ def _assemble_theta(packed: Packed, tau, omega, mu, sigma, rate, probs) -> Param
     """Install per-class blocks on relevant columns and the shared global
     block everywhere else."""
     gr = packed.groups
-    g = len(tau)
     mu, sigma, rate = mu.copy(), sigma.copy(), rate.copy()
     if gr.n_cont:
         shared = omega[gr.cont] == 0
@@ -192,28 +198,79 @@ def _assemble_theta(packed: Packed, tau, omega, mu, sigma, rate, probs) -> Param
     return Parameters(np.asarray(tau, dtype=float), mu, sigma, rate, plist, gr)
 
 
-def _tau_from_nk(nk: np.ndarray, n: int, policy: str):
+def _tau_from_nk(nk: np.ndarray, n: int, floor: bool):
     if (nk < EMPTY_COMPONENT_TOL).any():
-        if policy == "restart":
+        if not floor:
             raise EmptyComponent(int(np.argmin(nk)))
         nk = np.maximum(nk, 1e-10)
-    return nk / nk.sum() if policy == "floor" else nk / n
+    return nk / nk.sum() if floor else nk / n
 
 
-def _check_degenerate(packed: Packed, st: dict, sigma, omega, allow_spikes: bool):
-    """Reject variance spikes: a relevant continuous column whose per-class
-    sigma sits on the floor while the column itself has real spread means the
-    component collapsed onto a single point or exact duplicates (the floored
-    density there grows without bound as the class shrinks)."""
-    if allow_spikes or not packed.groups.n_cont:
-        return
+def _spikes(packed: Packed, sigma, omega) -> np.ndarray:
+    """(g, n_cont) variance spikes: a relevant continuous column whose
+    per-class sigma sits on the floor while the column itself has real spread
+    means the component collapsed onto a single point or exact duplicates
+    (the floored density there grows without bound as the class shrinks)."""
     rel = omega[packed.groups.cont] == 1
-    spiky = ((sigma <= dens.SIGMA_FLOOR) & (st["Wc"] > WEIGHT_TOL)
-             & rel & (packed.gsig > 1e-6))
-    if spiky.any():
+    return (sigma <= dens.SIGMA_FLOOR) & rel & (packed.gsig > 1e-6)
+
+
+def _e_kernel(packed: Packed, theta: Parameters, Lc: list | None = None):
+    """Responsibilities t_ik ∝ tau_k * prod of observed-cell densities and
+    the observed-data log-likelihood, from one stabilized log-space pass.
+    ``Lc`` holds the continuous per-cell log-densities at ``theta`` (None:
+    evaluate them here)."""
+    if Lc is None:
+        Lc = _cont_logdens(packed, theta.mu, theta.sigma)
+    V = _log_component_matrix(packed, theta, Lc) + np.log(theta.tau)
+    vmax = V.max(axis=1)
+    V -= vmax[:, None]
+    np.exp(V, out=V)
+    s = V.sum(axis=1)
+    V /= s[:, None]
+    return V, float((vmax + np.log(s)).sum())
+
+
+def _m_kernel(packed: Packed, t: np.ndarray, omega, floor: bool,
+              allow_spikes: bool, penalty_c: float | None = None):
+    """Weighted MLE update: per-class blocks on relevant columns, the shared
+    global block on irrelevant ones, proportions from the soft counts.
+
+    ``penalty_c`` None keeps ``omega``. Otherwise Delta_j compares the
+    expected log-likelihood of the per-class fit of column j against the
+    shared fit minus the extra-parameter cost (g-1) * nu_j * c, and the
+    column is relevant iff Delta_j > 0. ``floor`` floors empty components
+    and ``allow_spikes`` accepts variance spikes instead of raising.
+
+    Returns (Parameters, omega, Delta or None, the ``_cont_logdens`` of the
+    new parameters for the next E step, or None when it has none to reuse).
+    """
+    gr = packed.groups
+    g = t.shape[1]
+    st = _suff_stats(packed, t)
+    tau = _tau_from_nk(st["nk"], packed.n, floor)
+    mu, sigma, rate, probs = _per_class_blocks(packed, st)
+    Lc = delta = None
+    if penalty_c is not None:
+        if g == 1:
+            # per-class and shared fits coincide exactly
+            delta = np.zeros(packed.d)
+        else:
+            Lc = _cont_logdens(packed, mu, sigma)
+            wll = _weighted_loglik_by_column(packed, t, st, Lc, rate, probs)
+            delta = wll - packed.gll - (g - 1.0) * packed.nu * penalty_c
+        omega = (delta > 0).astype(np.int8)
+    spiky = _spikes(packed, sigma, omega)
+    if not allow_spikes and spiky.any():
         raise DegenerateComponent(
             f"variance spike at (component, column) = "
             f"{tuple(int(v) for v in np.argwhere(spiky)[0])}")
+    theta = _assemble_theta(packed, tau, omega, mu, sigma, rate, probs)
+    if Lc is not None:
+        # reuse the Delta's per-class matrices; shared columns take the global one
+        shared = omega[gr.cont] == 0
+        Lc = [np.where(shared, packed.gLc, L) for L in Lc]
+    return theta, omega, delta, Lc
 
 
 # ---------------------------------------------------------------------------
@@ -223,74 +280,39 @@ def _check_degenerate(packed: Packed, st: dict, sigma, omega, allow_spikes: bool
 def e_step(dataset: Dataset, model: Model, theta: Parameters) -> np.ndarray:
     """Responsibilities t_ik ∝ tau_k * prod of observed-cell densities,
     computed in log space with max subtraction and row-normalized."""
-    packed = dataset.packed()
-    V = _log_component_matrix(packed, theta) + np.log(theta.tau)
-    V -= V.max(axis=1, keepdims=True)
-    t = np.exp(V)
-    t /= t.sum(axis=1, keepdims=True)
-    return t
+    return _e_kernel(dataset.packed(), theta)[0]
 
 
 def m_step(dataset: Dataset, model: Model, fuzzy: np.ndarray,
            on_empty: str = "restart") -> Parameters:
     """Weighted MLE update: per-class blocks on relevant columns, the shared
     unweighted MLE on irrelevant ones, proportions from the soft counts."""
-    packed = dataset.packed()
-    st = _suff_stats(packed, fuzzy)
-    tau = _tau_from_nk(st["nk"], packed.n, on_empty)
-    mu, sigma, rate, probs = _per_class_blocks(packed, st)
-    _check_degenerate(packed, st, sigma, model.omega, on_empty == "floor")
-    return _assemble_theta(packed, tau, model.omega, mu, sigma, rate, probs)
+    floor = on_empty == "floor"
+    return _m_kernel(dataset.packed(), fuzzy, model.omega, floor, floor)[0]
 
 
 def observed_loglik(dataset: Dataset, model: Model, theta: Parameters) -> float:
     """Observed-data log-likelihood: irrelevant columns contribute their
     first-component term, relevant ones a stabilized log-sum-exp mixture."""
     packed = dataset.packed()
-    omega = model.omega
-    shared_cols = omega == 0
-    shared = 0.0
-    gr = packed.groups
-    if shared_cols.any():
-        sel = np.flatnonzero(shared_cols[gr.cont])
-        if sel.size:
-            L = dens.normal_logpdf(packed.Xc[:, sel], theta.mu[0, sel], theta.sigma[0, sel])
-            shared += float((L * packed.Mc[:, sel]).sum())
-        sel = np.flatnonzero(shared_cols[gr.integer])
-        if sel.size:
-            L = packed.Xi[:, sel] * np.log(theta.rate[0, sel]) - theta.rate[0, sel]
-            shared += float((L * packed.Mi[:, sel]).sum() - packed.glgam[sel].sum())
-        for jj in np.flatnonzero(shared_cols[gr.cat]):
-            lp = np.log(theta.probs[jj][0, : packed.m[jj]])
-            shared += float((lp[packed.codes[:, jj]] * packed.Mq[:, jj]).sum())
-    V = _log_component_matrix(packed, theta, cols=omega == 1) + np.log(theta.tau)
-    return shared + float(logsumexp(V, axis=1).sum())
+    Lc = _cont_logdens(packed, theta.mu, theta.sigma)
+    rel = model.omega == 1
+    shared = _log_component_matrix(packed, theta, Lc, cols=~rel)[:, 0].sum()
+    V = _log_component_matrix(packed, theta, Lc, cols=rel) + np.log(theta.tau)
+    return float(shared) + float(logsumexp(V, axis=1).sum())
 
 
 def penalized_m_step(dataset: Dataset, g: int, fuzzy: np.ndarray, c: float,
                      on_empty: str = "restart"):
-    """Joint update of the relevance vector and the parameters.
-
-    For each column, Delta_j compares the expected log-likelihood of the
-    per-class fit against the shared fit minus the extra-parameter cost
-    (g-1) * nu_j * c; the column is kept relevant iff Delta_j > 0.
+    """Joint update of the relevance vector and the parameters: the M step
+    with omega_j = 1 iff Delta_j > 0 (see ``_m_kernel``); ``fuzzy`` has g
+    columns.
 
     Returns (omega, Parameters, Delta vector).
     """
-    packed = dataset.packed()
-    st = _suff_stats(packed, fuzzy)
-    tau = _tau_from_nk(st["nk"], packed.n, on_empty)
-    mu, sigma, rate, probs = _per_class_blocks(packed, st)
-    if g == 1:
-        # per-class and shared fits coincide exactly
-        delta = np.zeros(packed.d)
-    else:
-        wll = _weighted_loglik_by_column(packed, fuzzy, st, mu, sigma, rate, probs)
-        nu_j = np.array([k.n_free_params for k in dataset.kinds], dtype=float)
-        delta = wll - packed.gll - (g - 1.0) * nu_j * c
-    omega = (delta > 0).astype(np.int8)
-    _check_degenerate(packed, st, sigma, omega, on_empty == "floor")
-    theta = _assemble_theta(packed, tau, omega, mu, sigma, rate, probs)
+    floor = on_empty == "floor"
+    theta, omega, delta, _ = _m_kernel(dataset.packed(), fuzzy, None, floor, floor,
+                                       penalty_c=float(c))
     return omega, theta, delta
 
 
@@ -321,48 +343,25 @@ def _init_theta(packed: Packed, g: int, omega: np.ndarray, rng: np.random.Genera
     return _assemble_theta(packed, tau, omega, mu, sigma, rate, probs)
 
 
-def _em_sequence(packed: Packed, theta: Parameters, cfg: EmConfig, policy: str,
-                 penalty_c: float | None, omega: np.ndarray, nu_j: np.ndarray | None,
-                 allow_spikes: bool = False):
-    """One EM run from one start. Returns a dict with the final state.
+def _em_sequence(packed: Packed, theta: Parameters, omega: np.ndarray, cfg: EmConfig,
+                 penalty_c: float | None, floor: bool, allow_spikes: bool):
+    """One EM run from one start, as an ``EmResult`` holding its own trace.
 
     ``penalty_c`` None means the model (omega) stays fixed; otherwise omega is
     re-optimized every M step and the objective is penalized.
     """
     g = theta.g
-    omega = omega.copy()
-
-    def responsibilities(th):
-        # one stabilized pass yields both the posterior and the loglik
-        V = _log_component_matrix(packed, th) + np.log(th.tau)
-        vmax = V.max(axis=1)
-        V -= vmax[:, None]
-        np.exp(V, out=V)
-        s = V.sum(axis=1)
-        V /= s[:, None]
-        return V, float((vmax + np.log(s)).sum())
-
-    t, _ = responsibilities(theta)
+    t, _ = _e_kernel(packed, theta)
     prev_obj = -np.inf
     trace = []
     converged = False
     for it in range(1, cfg.max_iterations + 1):
-        st = _suff_stats(packed, t)
-        tau = _tau_from_nk(st["nk"], packed.n, policy)
-        mu, sigma, rate, probs = _per_class_blocks(packed, st)
-        if penalty_c is not None and g > 1:
-            wll = _weighted_loglik_by_column(packed, t, st, mu, sigma, rate, probs)
-            delta = wll - packed.gll - (g - 1.0) * nu_j * penalty_c
-            omega = (delta > 0).astype(np.int8)
-        elif penalty_c is not None:
-            omega = np.zeros(packed.d, dtype=np.int8)
-        _check_degenerate(packed, st, sigma, omega, allow_spikes)
-        theta = _assemble_theta(packed, tau, omega, mu, sigma, rate, probs)
-        t, loglik = responsibilities(theta)
+        theta, omega, _, Lc = _m_kernel(packed, t, omega, floor, allow_spikes, penalty_c)
+        t, loglik = _e_kernel(packed, theta, Lc)
         if penalty_c is None:
             obj = loglik
         else:
-            nu_m = (g - 1.0) + float((nu_j * (g * omega + 1.0 - omega)).sum())
+            nu_m = (g - 1.0) + float((packed.nu * (g * omega + 1.0 - omega)).sum())
             obj = loglik - nu_m * penalty_c
         trace.append(obj)
         if prev_obj > -np.inf and \
@@ -370,11 +369,9 @@ def _em_sequence(packed: Packed, theta: Parameters, cfg: EmConfig, policy: str,
             converged = True
             break
         prev_obj = obj
-    return {
-        "theta": theta, "omega": omega, "loglik": loglik, "objective": obj,
-        "fuzzy": t, "n_iterations": it, "converged": converged,
-        "trace": np.array(trace),
-    }
+    return EmResult(theta=theta, model=Model(g, omega), loglik=loglik, objective=obj,
+                    fuzzy=t, n_iterations=it, converged=converged,
+                    traces=[np.array(trace)])
 
 
 def _run_starts(dataset: Dataset, g: int, omega0, cfg: EmConfig,
@@ -382,60 +379,47 @@ def _run_starts(dataset: Dataset, g: int, omega0, cfg: EmConfig,
     """Best-of-n-starts driver shared by the plain and penalized engines.
 
     ``omega0`` is a fixed relevance vector (plain EM) or None (penalized EM,
-    Bernoulli(1/2) redraw per start). Empty components follow the configured
-    policy (redraw, flooring as the last resort); a start that keeps
-    collapsing onto a variance spike is discarded instead, since a floored
-    spike is a near-singular fit, not a usable optimum. Only if every start
-    degenerates is a single floored run accepted so the call can return.
+    Bernoulli(1/2) redraw per start). A start whose component empties is
+    redrawn, up to ``MAX_REDRAWS`` times, and the last redraw floors empty
+    components; a start that keeps collapsing onto a variance spike is
+    discarded instead, since a floored spike is a near-singular fit, not a
+    usable optimum. Only if every start degenerates is a single floored run
+    accepted so the call can return.
     """
     packed = dataset.packed()
-    nu_j = np.array([k.n_free_params for k in dataset.kinds], dtype=float)
-    floor_policy = cfg.empty_component_policy == "floor"
-    best = None
-    traces = []
-    for s in range(cfg.n_starts):
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=[cfg.seed & 0xFFFFFFFFFFFFFFFF, s]))
-        res = None
-        for attempt in range(cfg.max_redraws + 1):
-            omega = omega0 if omega0 is not None else \
-                rng.integers(0, 2, size=packed.d).astype(np.int8)
-            theta0 = _init_theta(packed, g, omega, rng)
-            tau_policy = "floor" if floor_policy or attempt == cfg.max_redraws \
-                else "restart"
-            try:
-                res = _em_sequence(packed, theta0, cfg, tau_policy, penalty_c,
-                                   omega, nu_j, allow_spikes=floor_policy)
-                break
-            except (EmptyComponent, DegenerateComponent):
-                res = None
-                continue
-        if res is None:
-            continue
-        traces.append(res["trace"])
-        if best is None or res["objective"] > best[1]["objective"]:
-            best = (s, res)
-    if best is None:
-        # every start spiked: the landscape is dominated by a degenerate
-        # solution; return one floored fit rather than failing the call
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=[cfg.seed & 0xFFFFFFFFFFFFFFFF, cfg.n_starts]))
+
+    def attempt(rng, floor: bool, allow_spikes: bool):
         omega = omega0 if omega0 is not None else \
             rng.integers(0, 2, size=packed.d).astype(np.int8)
         theta0 = _init_theta(packed, g, omega, rng)
-        res = _em_sequence(packed, theta0, cfg, "floor", penalty_c, omega, nu_j,
-                           allow_spikes=True)
-        traces.append(res["trace"])
-        best = (cfg.n_starts, res)
-    s, res = best
-    model = Model(g, res["omega"] if omega0 is None else omega0)
-    rel = model.omega[packed.groups.cont] == 1
-    spiky = bool(((res["theta"].sigma <= dens.SIGMA_FLOOR) & rel
-                  & (packed.gsig > 1e-6)).any()) if packed.groups.n_cont else False
-    return EmResult(theta=res["theta"], model=model, loglik=res["loglik"],
-                    objective=res["objective"], fuzzy=res["fuzzy"],
-                    n_iterations=res["n_iterations"], converged=res["converged"],
-                    traces=traces, start_index=s, degenerate=spiky)
+        return _em_sequence(packed, theta0, omega, cfg, penalty_c, floor, allow_spikes)
+
+    best = None
+    traces = []
+    for s in range(cfg.n_starts):
+        rng = seeded_rng(cfg.seed, s)
+        res = None
+        for redraw in range(MAX_REDRAWS + 1):
+            try:
+                res = attempt(rng, redraw == MAX_REDRAWS, False)
+                break
+            except (EmptyComponent, DegenerateComponent):
+                continue
+        if res is None:
+            continue
+        res.start_index = s
+        traces += res.traces
+        if best is None or res.objective > best.objective:
+            best = res
+    if best is None:
+        # every start spiked: the landscape is dominated by a degenerate
+        # solution; return one floored fit rather than failing the call
+        best = attempt(seeded_rng(cfg.seed, cfg.n_starts), True, True)
+        best.start_index = cfg.n_starts
+        traces += best.traces
+    best.traces = traces
+    best.degenerate = bool(_spikes(packed, best.theta.sigma, best.model.omega).any())
+    return best
 
 
 def run_em(dataset: Dataset, model: Model, config: EmConfig) -> EmResult:

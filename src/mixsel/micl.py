@@ -14,16 +14,20 @@ prior normalization, i.e. exactly zero on the log scale.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln
 
 from .data import Dataset, Hyperparameters, Model
 from .em import EmConfig, run_em
-from .util import derive_seed
+from .util import derive_seed, seeded_rng
 
 LOG_PI = float(np.log(np.pi))
+SWEEP_CAP = 50           # greedy sweeps per partition step
+MAX_ALTERNATIONS = 100   # partition/model alternations per start
+# the small EM whose MAP partition seeds a start (its seed is set per start)
+START_EM = EmConfig(seed=0, n_starts=1, max_iterations=200, rel_tolerance=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +287,6 @@ def log_marginal_variable(dataset: Dataset, j: int, z, g: int, omega_j: int,
     zi = np.asarray(z, dtype=np.intp) - 1
     Z = np.zeros((p.n, g))
     Z[np.arange(p.n), zi] = 1.0
-
-    def agg(col):  # per-class and pooled sums of one packed column
-        per = Z.T @ col
-        return (per, col.sum()) if omega_j else (None, col.sum())
-
     pos = np.searchsorted(gr.cont, j)
     if pos < gr.n_cont and gr.cont[pos] == j:
         args = (h.cont_a[pos], h.cont_b[pos], h.cont_c[pos], h.cont_d[pos])
@@ -336,17 +335,14 @@ def model_step(dataset: Dataset, z, g: int, hyper: Hyperparameters) -> np.ndarra
 
 
 def partition_step(dataset: Dataset, state: MiclState, *,
-                   rng: np.random.Generator | None = None,
-                   sweep_cap: int = 50) -> MiclState:
+                   rng: np.random.Generator) -> MiclState:
     """Greedy single-observation reassignments (random order per sweep) until
-    a full sweep makes no move or the sweep cap is hit. Never decreases the
-    objective."""
+    a full sweep makes no move or ``SWEEP_CAP`` sweeps are done. Never
+    decreases the objective."""
     if state.tables.dataset is not dataset:
         raise ValueError("state was built for a different dataset")
-    if rng is None:
-        rng = np.random.default_rng(0)
     n = state.tables.packed.n
-    for _ in range(sweep_cap):
+    for _ in range(SWEEP_CAP):
         moved = False
         for i in rng.permutation(n):
             vals = state.candidate_values(int(i))
@@ -362,13 +358,11 @@ def partition_step(dataset: Dataset, state: MiclState, *,
 
 @dataclass
 class MiclConfig:
+    """Seed and number of random starts of the MICL optimizer; its sweep,
+    alternation and start-EM budgets are the module constants above."""
+
     seed: int
     n_starts: int = 20
-    sweep_cap: int = 50
-    max_alternations: int = 100
-    em_starts: int = 1
-    em_max_iterations: int = 200
-    em_rel_tolerance: float = 1e-4
 
 
 def run_micl(dataset: Dataset, g: int, hyper: Hyperparameters,
@@ -385,20 +379,16 @@ def run_micl(dataset: Dataset, g: int, hyper: Hyperparameters,
     tables = MarginalTables(dataset, hyper)
     best: tuple | None = None
     for s in range(config.n_starts):
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=[config.seed & 0xFFFFFFFFFFFFFFFF, 91, s]))
+        rng = seeded_rng(config.seed, 91, s)
         omega0 = rng.integers(0, 2, size=dataset.d).astype(np.int8) if g > 1 else \
             np.zeros(dataset.d, dtype=np.int8)
-        emcfg = EmConfig(seed=derive_seed(config.seed, 92, s),
-                         n_starts=config.em_starts,
-                         max_iterations=config.em_max_iterations,
-                         rel_tolerance=config.em_rel_tolerance)
-        fit = run_em(dataset, Model(g, omega0), emcfg)
+        fit = run_em(dataset, Model(g, omega0),
+                     replace(START_EM, seed=derive_seed(config.seed, 92, s)))
         z0 = np.argmax(fit.fuzzy, axis=1) + 1
         state = MiclState.from_partition(tables, Model(g, omega0), z0)
         prev = state.log_icl
-        for _ in range(config.max_alternations):
-            partition_step(dataset, state, rng=rng, sweep_cap=config.sweep_cap)
+        for _ in range(MAX_ALTERNATIONS):
+            partition_step(dataset, state, rng=rng)
             state.model_update()
             if state.log_icl <= prev + 1e-9:
                 break

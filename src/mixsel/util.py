@@ -3,9 +3,13 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
+
+
+def _seed_sequence(parts) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=[int(p) & 0xFFFFFFFFFFFFFFFF for p in parts])
 
 
 def derive_seed(*parts: int) -> int:
@@ -14,8 +18,13 @@ def derive_seed(*parts: int) -> int:
     Deterministic in the inputs, so independent workers can be seeded
     without sharing generator state.
     """
-    ss = np.random.SeedSequence(entropy=[int(p) & 0xFFFFFFFFFFFFFFFF for p in parts])
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(parts).generate_state(1, np.uint64)[0])
+
+
+def seeded_rng(seed: int, *tags: int) -> np.random.Generator:
+    """Generator of the stream named by a seed plus integer tags (e.g. the
+    start index), from the same entropy ``derive_seed`` folds."""
+    return np.random.default_rng(_seed_sequence((seed, *tags)))
 
 
 def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any], threads: int = 1) -> list:
@@ -65,17 +74,3 @@ def dump_json(obj: Any, path: str) -> None:
         fh.write(_render_json(obj, indent=2, level=0))
         fh.write("\n")
 
-
-def iter_floats(obj: Any) -> Iterable[float]:
-    """Yield every float reachable in a nested structure (for finiteness checks)."""
-    if isinstance(obj, dict):
-        for v in obj.values():
-            yield from iter_floats(v)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            yield from iter_floats(v)
-    elif isinstance(obj, np.ndarray):
-        for v in np.asarray(obj, dtype=float).ravel():
-            yield float(v)
-    elif isinstance(obj, (float, np.floating)):
-        yield float(obj)

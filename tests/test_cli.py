@@ -136,3 +136,12 @@ def test_simulate_single_replicate(tmp_path, capsys):
     row = records[2].split(",")
     assert float(row[2]) == pytest.approx(summary["summary"]["bic"]["ari"])
     assert (out / "manifest.json").exists()
+
+
+def test_cluster_rejects_threads_flag(sample_csv, tmp_path):
+    # starts and g values run sequentially; only simulate takes --threads
+    data, schema = sample_csv
+    with pytest.raises(SystemExit) as exc:
+        main(["cluster", data, "--schema", schema, "--seed", "1", "--threads", "2",
+              "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2

@@ -222,3 +222,22 @@ def test_penalized_em_objective_matches_loglik_minus_penalty():
     assert res.objective == pytest.approx(res.loglik - nu * c, rel=1e-12)
     assert res.loglik == pytest.approx(
         observed_loglik(ds, res.model, res.theta), rel=1e-8)
+
+
+def test_run_em_all_starts_spiked_returns_one_floored_fit():
+    # three pairs of exact duplicates: every 3-class start collapses onto
+    # variance spikes, so only the floored fallback start survives
+    ds = Dataset(np.array([[0], [0], [5], [5], [10], [10]], float), [CONT])
+    res = run_em(ds, Model(3, [1]), EmConfig(seed=0, n_starts=3))
+    assert res.degenerate
+    assert len(res.traces) == 1
+    assert res.start_index == 3
+
+
+def test_run_em_clean_data_keeps_every_start():
+    rng = np.random.default_rng(4)
+    X = np.concatenate([rng.normal(0, 1, 30), rng.normal(6, 1, 30)])[:, None]
+    res = run_em(Dataset(X, [CONT]), Model(2, [1]), EmConfig(seed=0, n_starts=3))
+    assert not res.degenerate
+    assert len(res.traces) == 3
+    assert res.start_index < 3
