@@ -77,7 +77,7 @@ def cmd_cluster(args, argv) -> int:
         "n_params_best": count_params(report.best.model, dataset.kinds),
         "per_g": [
             {"g": rec.g, "value": rec.value,
-             "loglik": rec.loglik if rec.loglik is not None else None,
+             "loglik": rec.loglik,
              "omega": [int(w) for w in rec.model.omega]}
             for rec in report.records
         ],

@@ -1,5 +1,7 @@
-"""Parameter counting, information criteria, MAP partitioning, and the
-top-level model-selection driver sweeping the component count."""
+"""Information criteria, MAP partitioning, and the top-level model-selection
+driver sweeping the component count. The parameter count ``count_params``
+lives next to ``Model`` in ``data``, where the penalized EM shares it, and is
+re-exported here."""
 from __future__ import annotations
 
 import time
@@ -7,21 +9,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, Hyperparameters, Model, Parameters
+from .data import Dataset, Hyperparameters, Model, Parameters, count_params
 from .em import EmConfig, EmResult, run_em, run_penalized_em
 from .micl import MiclConfig, log_integrated_complete, run_micl
 from .util import derive_seed
 
 CRITERIA = ("bic", "aic", "micl", "bic-noselect", "icl-noselect")
-
-
-def count_params(model: Model, kinds) -> int:
-    """Free-parameter count: g-1 proportions plus, per column, one block per
-    component if relevant and a single shared block otherwise."""
-    nu = model.g - 1
-    for j, kind in enumerate(kinds):
-        nu += kind.n_free_params * (model.g if model.omega[j] else 1)
-    return int(nu)
 
 
 def bic(loglik: float, nu_m: int, n: int) -> float:

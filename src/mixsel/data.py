@@ -153,7 +153,6 @@ class Dataset:
             raise DataError("names length must equal the number of columns")
         self.cat_labels = dict(cat_labels) if cat_labels else {}
         self.groups = ColumnGroups.from_kinds(kinds)
-        self._n_j: np.ndarray | None = None
         self._packed = None
         validate(self)
 
@@ -172,8 +171,6 @@ class Dataset:
     @property
     def observed_counts(self) -> np.ndarray:
         """Observed-cell count per column (cached by validate)."""
-        if self._n_j is None:
-            self._n_j = self.mask.sum(axis=0).astype(np.intp)
         return self._n_j
 
     def packed(self) -> "Packed":
@@ -253,6 +250,13 @@ class Model:
 
     def copy(self) -> "Model":
         return Model(self.g, self.omega.copy())
+
+
+def count_params(model: Model, kinds) -> int:
+    """Free-parameter count: g-1 proportions plus, per column, one block per
+    component if relevant and a single shared block otherwise."""
+    nu = np.array([k.n_free_params for k in kinds], dtype=float)
+    return int(model.g - 1 + (nu * np.where(model.omega == 1, model.g, 1)).sum())
 
 
 @dataclass
@@ -381,6 +385,7 @@ class Packed:
         self.level_mask = np.zeros((gr.n_cat, self.m_max), dtype=bool)
         for jj in range(gr.n_cat):
             self.level_mask[jj, : self.m[jj]] = True
+        self.kinds = ds.kinds
         self.nu = np.array([k.n_free_params for k in ds.kinds], dtype=float)  # per column
         self._row_obs: list | None = None
 
@@ -413,6 +418,18 @@ class Packed:
             gll[gr.cat] = (cnt * lp).sum(axis=1)
         self.gll = gll
         self.glgam = self.lgam.sum(axis=0)  # sum of ln Gamma(x+1) per integer column
+
+    def class_sums(self, t: np.ndarray) -> dict:
+        """Per-class sums under the (n, g) weights ``t`` (responsibilities or
+        a 0/1 hard partition): ``nk`` the class sizes, and ``t.T @ M`` for
+        every packed matrix M, keyed by its attribute name; ``onehot`` gives
+        the (g, n_cat, m_max) level counts."""
+        tT = t.T
+        sums = {name: tT @ getattr(self, name)
+                for name in ("Mc", "Xc", "Xc2", "Mi", "Xi", "lgam", "Mq")}
+        sums["nk"] = t.sum(axis=0)
+        sums["onehot"] = np.einsum("nk,njh->kjh", t, self.onehot)
+        return sums
 
     def row_obs(self, i: int):
         """Per-kind observed column positions of row i (cached)."""

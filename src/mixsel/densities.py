@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln
 
-from .data import CAT, CONT, INT, Dataset, VariableKind
+from .data import CONT, INT, Dataset, VariableKind
 
 SIGMA_FLOOR = 1e-10
 RATE_FLOOR = 1e-10

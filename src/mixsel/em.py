@@ -7,8 +7,10 @@ arithmetic reduces exactly to the complete-data formulas.
 An iteration is one M step (``_m_kernel``, where the penalized engine also
 re-chooses the relevance vector from the per-column Delta) and one E step
 (``_e_kernel``); the public ``e_step``, ``m_step`` and ``penalized_m_step``
-wrap the same kernels. The Gaussian per-cell log-densities are evaluated once
-per iteration, in the M step, and feed both the Delta and the next E step.
+wrap the same kernels. The E kernel also yields the observed-data
+log-likelihood, which is all ``observed_loglik`` computes. The Gaussian
+per-cell log-densities are evaluated once per iteration, in the M step, and
+feed both the Delta and the next E step.
 
 The penalized engine maximizes `loglik - nu_m * c` jointly over the relevance
 vector and the parameters; `c = ln(n)/2` yields the BIC, `c = 1` the AIC.
@@ -18,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import densities as dens
-from .data import Dataset, Model, Packed, Parameters
+from .data import Dataset, Model, Packed, Parameters, count_params
 from .util import seeded_rng
 
 EMPTY_COMPONENT_TOL = 1e-8
@@ -80,79 +81,46 @@ class EmResult:
 # vectorized building blocks
 # ---------------------------------------------------------------------------
 
-def _cont_logdens(packed: Packed, mu, sigma) -> list:
-    """Per class k, the (n, n_cont) Gaussian log-densities at (mu[k],
-    sigma[k]); masked cells are 0."""
-    return [dens.normal_logpdf(packed.Xc, mu[k], sigma[k]) * packed.Mc
-            for k in range(len(mu))]
+def _cont_logdens(packed: Packed, mu, sigma) -> np.ndarray:
+    """(g, n, n_cont) Gaussian log-densities, class k at (mu[k], sigma[k]);
+    masked cells are 0."""
+    return dens.normal_logpdf(packed.Xc, mu[:, None, :], sigma[:, None, :]) * packed.Mc
 
 
-def _log_component_matrix(packed: Packed, theta: Parameters, Lc: list,
-                          cols: np.ndarray | None = None):
-    """(n, g) sums of per-cell log densities over the selected columns.
-
-    ``Lc`` holds the continuous per-cell log-densities at ``theta`` (see
-    ``_cont_logdens``). ``cols`` is a boolean column selector over the full
-    dataset (None = all). Masked cells contribute 0.
-    """
-    gr = packed.groups
-    g = theta.g
-    V = np.zeros((packed.n, g))
-    if gr.n_cont:
-        sel = slice(None) if cols is None else np.flatnonzero(cols[gr.cont])
-        for k in range(g):
-            V[:, k] += Lc[k][:, sel].sum(axis=1)
-    if gr.n_int:
-        sel = slice(None) if cols is None else np.flatnonzero(cols[gr.integer])
-        Xi, Mi = packed.Xi[:, sel], packed.Mi[:, sel]
-        lg = packed.lgam[:, sel].sum(axis=1)
-        for k in range(g):
-            L = Xi * np.log(theta.rate[k, sel]) - theta.rate[k, sel]
-            V[:, k] += (L * Mi).sum(axis=1) - lg
-    if gr.n_cat:
-        sel = range(gr.n_cat) if cols is None else np.flatnonzero(cols[gr.cat])
-        for jj in sel:
-            lp = np.log(theta.probs[jj][:, : packed.m[jj]])  # (g, m_j)
-            V += lp[:, packed.codes[:, jj]].T * packed.Mq[:, jj][:, None]
+def _log_component_matrix(packed: Packed, theta: Parameters, Lc: np.ndarray):
+    """(n, g) sums of per-cell log densities over all columns, one matrix
+    product per kind. ``Lc`` holds the continuous per-cell log-densities at
+    ``theta`` (see ``_cont_logdens``). Masked cells contribute 0."""
+    V = packed.Xi @ np.log(theta.rate).T
+    V -= packed.Mi @ theta.rate.T
+    V -= packed.lgam.sum(axis=1)[:, None]
+    V += Lc.sum(axis=2).T
+    if packed.groups.n_cat:
+        # log-probabilities laid out like the padded one-hot, 0 on padding
+        lp = np.zeros((theta.g, packed.level_mask.size))
+        lp[:, packed.level_mask.ravel()] = np.log(np.concatenate(theta.probs, axis=1))
+        V += packed.onehot.reshape(packed.n, -1) @ lp.T
     return V
-
-
-def _suff_stats(packed: Packed, t: np.ndarray):
-    """Weighted per-component sufficient statistics of every column."""
-    tT = t.T
-    return {
-        "nk": t.sum(axis=0),
-        "Wc": tT @ packed.Mc,
-        "S1": tT @ packed.Xc,
-        "S2": tT @ packed.Xc2,
-        "Wi": tT @ packed.Mi,
-        "Si": tT @ packed.Xi,
-        "cnt": np.einsum("nk,njh->kjh", t, packed.onehot) if packed.groups.n_cat else
-               np.zeros((t.shape[1], 0, 0)),
-    }
 
 
 def _per_class_blocks(packed: Packed, st: dict):
     """Floored per-component MLE blocks; zero-weight cells fall back to the
     global block (they carry no observed information)."""
-    Wc, S1, S2 = st["Wc"], st["S1"], st["S2"]
+    Wc, S1, S2 = st["Mc"], st["Xc"], st["Xc2"]
     ok = Wc > WEIGHT_TOL
     Wsafe = np.where(ok, Wc, 1.0)
     mu = np.where(ok, S1 / Wsafe, packed.gmu)
     var = np.where(ok, np.maximum(S2 / Wsafe - mu * mu, 0.0), 0.0)
     sigma = np.where(ok, dens.floor_sigma(np.sqrt(var)), packed.gsig)
-    oki = st["Wi"] > WEIGHT_TOL
-    rate = np.where(oki, dens.floor_rate(st["Si"] / np.where(oki, st["Wi"], 1.0)),
+    oki = st["Mi"] > WEIGHT_TOL
+    rate = np.where(oki, dens.floor_rate(st["Xi"] / np.where(oki, st["Mi"], 1.0)),
                     packed.grate)
-    if packed.groups.n_cat:
-        probs = dens.floor_probs(st["cnt"], packed.level_mask)
-    else:
-        probs = st["cnt"]
+    probs = dens.floor_probs(st["onehot"], packed.level_mask)
     return mu, sigma, rate, probs
 
 
-def _weighted_loglik_by_column(packed: Packed, t: np.ndarray, st: dict, Lc: list,
-                               rate, probs):
+def _weighted_loglik_by_column(packed: Packed, t: np.ndarray, st: dict,
+                               Lc: np.ndarray, rate, probs):
     """(d,) expected log-likelihood per column at the given per-class blocks,
     i.e. sum over classes and observed cells of t_ik * log f_kj.
 
@@ -168,11 +136,11 @@ def _weighted_loglik_by_column(packed: Packed, t: np.ndarray, st: dict, Lc: list
             acc += t[:, k] @ Lc[k]
         out[gr.cont] = acc
     if gr.n_int:
-        terms = st["Si"] * np.log(rate) - st["Wi"] * rate
+        terms = st["Xi"] * np.log(rate) - st["Mi"] * rate
         out[gr.integer] = terms.sum(axis=0) - packed.glgam
     if gr.n_cat:
         lp = np.log(np.where(packed.level_mask, probs, 1.0))
-        out[gr.cat] = (st["cnt"] * lp).sum(axis=(0, 2))
+        out[gr.cat] = (st["onehot"] * lp).sum(axis=(0, 2))
     return out
 
 
@@ -215,7 +183,7 @@ def _spikes(packed: Packed, sigma, omega) -> np.ndarray:
     return (sigma <= dens.SIGMA_FLOOR) & rel & (packed.gsig > 1e-6)
 
 
-def _e_kernel(packed: Packed, theta: Parameters, Lc: list | None = None):
+def _e_kernel(packed: Packed, theta: Parameters, Lc: np.ndarray | None = None):
     """Responsibilities t_ik ∝ tau_k * prod of observed-cell densities and
     the observed-data log-likelihood, from one stabilized log-space pass.
     ``Lc`` holds the continuous per-cell log-densities at ``theta`` (None:
@@ -247,7 +215,7 @@ def _m_kernel(packed: Packed, t: np.ndarray, omega, floor: bool,
     """
     gr = packed.groups
     g = t.shape[1]
-    st = _suff_stats(packed, t)
+    st = packed.class_sums(t)
     tau = _tau_from_nk(st["nk"], packed.n, floor)
     mu, sigma, rate, probs = _per_class_blocks(packed, st)
     Lc = delta = None
@@ -269,7 +237,7 @@ def _m_kernel(packed: Packed, t: np.ndarray, omega, floor: bool,
     if Lc is not None:
         # reuse the Delta's per-class matrices; shared columns take the global one
         shared = omega[gr.cont] == 0
-        Lc = [np.where(shared, packed.gLc, L) for L in Lc]
+        Lc = np.where(shared, packed.gLc, Lc)
     return theta, omega, delta, Lc
 
 
@@ -283,35 +251,29 @@ def e_step(dataset: Dataset, model: Model, theta: Parameters) -> np.ndarray:
     return _e_kernel(dataset.packed(), theta)[0]
 
 
-def m_step(dataset: Dataset, model: Model, fuzzy: np.ndarray,
-           on_empty: str = "restart") -> Parameters:
+def m_step(dataset: Dataset, model: Model, fuzzy: np.ndarray) -> Parameters:
     """Weighted MLE update: per-class blocks on relevant columns, the shared
     unweighted MLE on irrelevant ones, proportions from the soft counts."""
-    floor = on_empty == "floor"
-    return _m_kernel(dataset.packed(), fuzzy, model.omega, floor, floor)[0]
+    return _m_kernel(dataset.packed(), fuzzy, model.omega, False, False)[0]
 
 
 def observed_loglik(dataset: Dataset, model: Model, theta: Parameters) -> float:
-    """Observed-data log-likelihood: irrelevant columns contribute their
-    first-component term, relevant ones a stabilized log-sum-exp mixture."""
-    packed = dataset.packed()
-    Lc = _cont_logdens(packed, theta.mu, theta.sigma)
-    rel = model.omega == 1
-    shared = _log_component_matrix(packed, theta, Lc, cols=~rel)[:, 0].sum()
-    V = _log_component_matrix(packed, theta, Lc, cols=rel) + np.log(theta.tau)
-    return float(shared) + float(logsumexp(V, axis=1).sum())
+    """Observed-data log-likelihood of ``theta``, the one the E step
+    computes; ``model`` is implied by ``theta`` (shared blocks on irrelevant
+    columns)."""
+    return _e_kernel(dataset.packed(), theta)[1]
 
 
-def penalized_m_step(dataset: Dataset, g: int, fuzzy: np.ndarray, c: float,
-                     on_empty: str = "restart"):
+def penalized_m_step(dataset: Dataset, g: int, fuzzy: np.ndarray, c: float):
     """Joint update of the relevance vector and the parameters: the M step
-    with omega_j = 1 iff Delta_j > 0 (see ``_m_kernel``); ``fuzzy`` has g
-    columns.
+    with omega_j = 1 iff Delta_j > 0 (see ``_m_kernel``); ``fuzzy`` must have
+    g columns.
 
     Returns (omega, Parameters, Delta vector).
     """
-    floor = on_empty == "floor"
-    theta, omega, delta, _ = _m_kernel(dataset.packed(), fuzzy, None, floor, floor,
+    if g != fuzzy.shape[1]:
+        raise ValueError("fuzzy must have g columns")
+    theta, omega, delta, _ = _m_kernel(dataset.packed(), fuzzy, None, False, False,
                                        penalty_c=float(c))
     return omega, theta, delta
 
@@ -355,21 +317,23 @@ def _em_sequence(packed: Packed, theta: Parameters, omega: np.ndarray, cfg: EmCo
     prev_obj = -np.inf
     trace = []
     converged = False
+    model, penalty = None, 0.0
     for it in range(1, cfg.max_iterations + 1):
         theta, omega, _, Lc = _m_kernel(packed, t, omega, floor, allow_spikes, penalty_c)
         t, loglik = _e_kernel(packed, theta, Lc)
-        if penalty_c is None:
-            obj = loglik
-        else:
-            nu_m = (g - 1.0) + float((packed.nu * (g * omega + 1.0 - omega)).sum())
-            obj = loglik - nu_m * penalty_c
+        if model is None or (omega != model.omega).any():
+            # the penalty only changes with omega
+            model = Model(g, omega)
+            if penalty_c is not None:
+                penalty = count_params(model, packed.kinds) * penalty_c
+        obj = loglik - penalty
         trace.append(obj)
         if prev_obj > -np.inf and \
                 abs(obj - prev_obj) / (abs(prev_obj) + 1.0) < cfg.rel_tolerance:
             converged = True
             break
         prev_obj = obj
-    return EmResult(theta=theta, model=Model(g, omega), loglik=loglik, objective=obj,
+    return EmResult(theta=theta, model=model, loglik=loglik, objective=obj,
                     fuzzy=t, n_iterations=it, converged=converged,
                     traces=[np.array(trace)])
 

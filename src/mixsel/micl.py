@@ -11,6 +11,11 @@ applied once per component on a relevant column and once globally on an
 irrelevant one. All counts are observed-cell counts, so missing cells simply
 drop out of the sufficient statistics. An empty component contributes its
 prior normalization, i.e. exactly zero on the log scale.
+
+``MiclState`` is the one evaluator of the integrated complete-data likelihood:
+it builds the per-class sums with ``Packed.class_sums`` (the EM's M step uses
+the same builder), and ``log_integrated_complete`` and ``log_marginal_variable``
+read their values from a state built at the given partition.
 """
 from __future__ import annotations
 
@@ -80,9 +85,10 @@ def log_dirichlet_proportion_term(nk, u: float) -> float:
 # ---------------------------------------------------------------------------
 
 class MarginalTables:
-    """Per-dataset constants used by the optimizer: the global (one-group)
-    marginal of every column, which is what an irrelevant column contributes
-    for any partition."""
+    """Per-dataset constants used by the optimizer: the hyperparameter arrays
+    of the continuous (a, b, c, d) and integer (a, b) columns, and the global
+    (one-group) marginal of every column, which is what an irrelevant column
+    contributes for any partition."""
 
     def __init__(self, dataset: Dataset, hyper: Hyperparameters):
         self.dataset = dataset
@@ -90,10 +96,12 @@ class MarginalTables:
         p = dataset.packed()
         self.packed = p
         h = hyper
+        self.hyp_cont = (h.cont_a, h.cont_b, h.cont_c, h.cont_d)
+        self.hyp_int = (h.int_a, h.int_b)
         self.global_cont = _phi_cont(p.Mc.sum(0), p.Xc.sum(0), p.Xc2.sum(0),
-                                     h.cont_a, h.cont_b, h.cont_c, h.cont_d)
+                                     *self.hyp_cont)
         self.global_int = _phi_int(p.Mi.sum(0), p.Xi.sum(0), p.lgam.sum(0),
-                                   h.int_a, h.int_b)
+                                   *self.hyp_int)
         self.mq = p.m.astype(float)
         self.global_cat = _phi_cat(p.onehot.sum(0), p.Mq.sum(0),
                                    h.cat_a, self.mq, p.level_mask)
@@ -102,27 +110,39 @@ class MarginalTables:
 class MiclState:
     """Current (model, partition) with per-component sufficient statistics and
     cached per-column marginal factors, supporting O(1)-per-column single
-    observation moves."""
+    observation moves.
+
+    Continuous and integer columns share one move rule: per class an observed
+    count, a sum and a second sum (of squares, or of ln Gamma(x+1)), and a
+    closed-form factor of the three; categorical columns keep level counts.
+    """
 
     def __init__(self, tables: MarginalTables, model: Model, zi: np.ndarray):
         self.tables = tables
         self.model = model.copy()
         self.zi = np.asarray(zi, dtype=np.intp).copy()  # 0-based
-        p, h = tables.packed, tables.hyper
-        g = model.g
-        Z = np.zeros((p.n, g))
+        p = tables.packed
+        Z = np.zeros((p.n, model.g))
         Z[np.arange(p.n), self.zi] = 1.0
-        self.nk = Z.sum(axis=0)
-        ZT = Z.T
-        self.cn, self.cS1, self.cS2 = ZT @ p.Mc, ZT @ p.Xc, ZT @ p.Xc2
-        self.inn, self.iS, self.iG = ZT @ p.Mi, ZT @ p.Xi, ZT @ p.lgam
-        self.catn = ZT @ p.Mq
-        self.ccnt = np.einsum("nk,njh->kjh", Z, p.onehot) if p.groups.n_cat else \
-            np.zeros((g, 0, 0))
-        self.phic = _phi_cont(self.cn, self.cS1, self.cS2,
-                              h.cont_a, h.cont_b, h.cont_c, h.cont_d)
-        self.phii = _phi_int(self.inn, self.iS, self.iG, h.int_a, h.int_b)
-        self.phiq = _phi_cat(self.ccnt, self.catn, h.cat_a, tables.mq, p.level_mask)
+        st = p.class_sums(Z)
+        self.nk = st["nk"]
+        self.cn, self.cS1, self.cS2 = st["Mc"], st["Xc"], st["Xc2"]
+        self.inn, self.iS, self.iG = st["Mi"], st["Xi"], st["lgam"]
+        self.catn, self.ccnt = st["Mq"], st["onehot"]
+        self.phic = _phi_cont(self.cn, self.cS1, self.cS2, *tables.hyp_cont)
+        self.phii = _phi_int(self.inn, self.iS, self.iG, *tables.hyp_int)
+        self.phiq = _phi_cat(self.ccnt, self.catn, tables.hyper.cat_a, tables.mq,
+                             p.level_mask)
+        # per kind: dataset columns, per-class factors, global factors
+        self._kinds = ((p.groups.cont, self.phic, tables.global_cont),
+                       (p.groups.integer, self.phii, tables.global_int),
+                       (p.groups.cat, self.phiq, tables.global_cat))
+        # per moment kind: count, sum, second sum, factors, the cell values
+        # behind the two sums, the factor function and its hyperparameters
+        self._moments = ((self.cn, self.cS1, self.cS2, self.phic, p.Xc, p.Xc2,
+                          _phi_cont, tables.hyp_cont),
+                         (self.inn, self.iS, self.iG, self.phii, p.Xi, p.lgam,
+                          _phi_int, tables.hyp_int))
         self._set_rel_masks()
         self.log_icl = self._value()
 
@@ -137,21 +157,13 @@ class MiclState:
         return self.zi + 1
 
     def _set_rel_masks(self):
-        gr = self.tables.packed.groups
-        om = self.model.omega
-        self.relc = om[gr.cont] == 1
-        self.reli = om[gr.integer] == 1
-        self.relq = om[gr.cat] == 1
+        """Per kind, the relevance of its columns (order of ``_kinds``)."""
+        self.rel = tuple(self.model.omega[cols] == 1 for cols, _, _ in self._kinds)
 
     def _value(self) -> float:
-        t = self.tables
-        total = log_dirichlet_proportion_term(self.nk, t.hyper.u)
-        if self.phic.shape[1]:
-            total += float(np.where(self.relc, self.phic.sum(0), t.global_cont).sum())
-        if self.phii.shape[1]:
-            total += float(np.where(self.reli, self.phii.sum(0), t.global_int).sum())
-        if self.phiq.shape[1]:
-            total += float(np.where(self.relq, self.phiq.sum(0), t.global_cat).sum())
+        total = log_dirichlet_proportion_term(self.nk, self.tables.hyper.u)
+        for (_, phi, glob), rel in zip(self._kinds, self.rel):
+            total += float(np.where(rel, phi.sum(0), glob).sum())
         return total
 
     def recomputed_value(self) -> float:
@@ -167,30 +179,21 @@ class MiclState:
         a = self.zi[i]
         vals = np.log(self.nk + h.u) - np.log(self.nk[a] - 1.0 + h.u)
         rem = 0.0
-        oc, oi, oq = p.row_obs(i)
-        Jc = oc[self.relc[oc]] if oc.size else oc
-        if Jc.size:
-            x, x2 = p.Xc[i, Jc], p.Xc2[i, Jc]
-            ha, hb, hc, hd = h.cont_a[Jc], h.cont_b[Jc], h.cont_c[Jc], h.cont_d[Jc]
-            base = self.phic[:, Jc]
-            up = _phi_cont(self.cn[:, Jc] + 1.0, self.cS1[:, Jc] + x,
-                           self.cS2[:, Jc] + x2, ha, hb, hc, hd)
-            vals += (up - base).sum(axis=1)
-            down = _phi_cont(self.cn[a, Jc] - 1.0, self.cS1[a, Jc] - x,
-                             self.cS2[a, Jc] - x2, ha, hb, hc, hd)
-            rem += float((down - base[a]).sum())
-        Ji = oi[self.reli[oi]] if oi.size else oi
-        if Ji.size:
-            x, lg = p.Xi[i, Ji], p.lgam[i, Ji]
-            ha, hb = h.int_a[Ji], h.int_b[Ji]
-            base = self.phii[:, Ji]
-            up = _phi_int(self.inn[:, Ji] + 1.0, self.iS[:, Ji] + x,
-                          self.iG[:, Ji] + lg, ha, hb)
-            vals += (up - base).sum(axis=1)
-            down = _phi_int(self.inn[a, Ji] - 1.0, self.iS[a, Ji] - x,
-                            self.iG[a, Ji] - lg, ha, hb)
-            rem += float((down - base[a]).sum())
-        Jq = oq[self.relq[oq]] if oq.size else oq
+        obs = p.row_obs(i)
+        # row views and take() gather the same cells as [i, J] and [:, J],
+        # without the cost of mixed fancy indexing
+        for (cn, s1, s2, phi, X1, X2, fn, hyp), o, rel in zip(self._moments, obs, self.rel):
+            J = o[rel[o]]
+            if J.size:
+                x, x2, hj = X1[i][J], X2[i][J], [v[J] for v in hyp]
+                base = phi.take(J, axis=1)
+                up = fn(cn.take(J, axis=1) + 1.0, s1.take(J, axis=1) + x,
+                        s2.take(J, axis=1) + x2, *hj)
+                vals += (up - base).sum(axis=1)
+                down = fn(cn[a][J] - 1.0, s1[a][J] - x, s2[a][J] - x2, *hj)
+                rem += float((down - base[a]).sum())
+        oq = obs[2]
+        Jq = oq[self.rel[2][oq]]
         if Jq.size:
             code = p.codes[i, Jq]
             aq, mq = h.cat_a[Jq], self.tables.mq[Jq]
@@ -213,27 +216,18 @@ class MiclState:
         if new_value is None:
             new_value = float(self.candidate_values(i)[k])
         p, h = self.tables.packed, self.tables.hyper
-        oc, oi, oq = p.row_obs(i)
-        if oc.size:
-            x, x2 = p.Xc[i, oc], p.Xc2[i, oc]
-            for cls, sgn in ((a, -1.0), (k, 1.0)):
-                self.cn[cls, oc] += sgn
-                self.cS1[cls, oc] += sgn * x
-                self.cS2[cls, oc] += sgn * x2
-            ha, hb, hc, hd = h.cont_a[oc], h.cont_b[oc], h.cont_c[oc], h.cont_d[oc]
-            for cls in (a, k):
-                self.phic[cls, oc] = _phi_cont(self.cn[cls, oc], self.cS1[cls, oc],
-                                               self.cS2[cls, oc], ha, hb, hc, hd)
-        if oi.size:
-            x, lg = p.Xi[i, oi], p.lgam[i, oi]
-            for cls, sgn in ((a, -1.0), (k, 1.0)):
-                self.inn[cls, oi] += sgn
-                self.iS[cls, oi] += sgn * x
-                self.iG[cls, oi] += sgn * lg
-            ha, hb = h.int_a[oi], h.int_b[oi]
-            for cls in (a, k):
-                self.phii[cls, oi] = _phi_int(self.inn[cls, oi], self.iS[cls, oi],
-                                              self.iG[cls, oi], ha, hb)
+        obs = p.row_obs(i)
+        for (cn, s1, s2, phi, X1, X2, fn, hyp), o in zip(self._moments, obs):
+            if o.size:
+                x, x2 = X1[i][o], X2[i][o]
+                for cls, sgn in ((a, -1.0), (k, 1.0)):
+                    cn[cls][o] += sgn
+                    s1[cls][o] += sgn * x
+                    s2[cls][o] += sgn * x2
+                hj = [v[o] for v in hyp]
+                for cls in (a, k):
+                    phi[cls][o] = fn(cn[cls][o], s1[cls][o], s2[cls][o], *hj)
+        oq = obs[2]
         if oq.size:
             code = p.codes[i, oq]
             self.ccnt[a, oq, code] -= 1.0
@@ -256,15 +250,10 @@ class MiclState:
         """Set every omega_j to the per-column argmax of the marginal
         (strict inequality keeps a column relevant; ties drop it). Returns
         True when omega changed."""
-        gr = self.tables.packed.groups
         omega = np.zeros(self.tables.packed.d, dtype=np.int8)
         if self.model.g > 1:
-            if gr.n_cont:
-                omega[gr.cont] = (self.phic.sum(0) > self.tables.global_cont).astype(np.int8)
-            if gr.n_int:
-                omega[gr.integer] = (self.phii.sum(0) > self.tables.global_int).astype(np.int8)
-            if gr.n_cat:
-                omega[gr.cat] = (self.phiq.sum(0) > self.tables.global_cat).astype(np.int8)
+            for cols, phi, glob in self._kinds:
+                omega[cols] = phi.sum(0) > glob
         changed = bool((omega != self.model.omega).any())
         self.model = Model(self.model.g, omega)
         self._set_rel_masks()
@@ -281,49 +270,20 @@ def log_marginal_variable(dataset: Dataset, j: int, z, g: int, omega_j: int,
     """Exact log marginal of column j given hard labels ``z`` (1-based):
     per-component factors when the column is relevant, one global factor when
     it is not. Only observed cells enter the statistics."""
-    p = dataset.packed()
-    gr = dataset.groups
-    h = hyper
-    zi = np.asarray(z, dtype=np.intp) - 1
-    Z = np.zeros((p.n, g))
-    Z[np.arange(p.n), zi] = 1.0
-    pos = np.searchsorted(gr.cont, j)
-    if pos < gr.n_cont and gr.cont[pos] == j:
-        args = (h.cont_a[pos], h.cont_b[pos], h.cont_c[pos], h.cont_d[pos])
-        if omega_j:
-            return float(_phi_cont(Z.T @ p.Mc[:, pos], Z.T @ p.Xc[:, pos],
-                                   Z.T @ p.Xc2[:, pos], *args).sum())
-        return float(_phi_cont(p.Mc[:, pos].sum(), p.Xc[:, pos].sum(),
-                               p.Xc2[:, pos].sum(), *args))
-    pos = np.searchsorted(gr.integer, j)
-    if pos < gr.n_int and gr.integer[pos] == j:
-        args = (h.int_a[pos], h.int_b[pos])
-        if omega_j:
-            return float(_phi_int(Z.T @ p.Mi[:, pos], Z.T @ p.Xi[:, pos],
-                                  Z.T @ p.lgam[:, pos], *args).sum())
-        return float(_phi_int(p.Mi[:, pos].sum(), p.Xi[:, pos].sum(),
-                              p.lgam[:, pos].sum(), *args))
-    pos = np.searchsorted(gr.cat, j)
-    if pos < gr.n_cat and gr.cat[pos] == j:
-        lm = p.level_mask[pos]
-        mq = float(p.m[pos])
-        if omega_j:
-            return float(_phi_cat(np.einsum("nk,nh->kh", Z, p.onehot[:, pos, :]),
-                                  Z.T @ p.Mq[:, pos], h.cat_a[pos], mq, lm).sum())
-        return float(_phi_cat(p.onehot[:, pos, :].sum(0), p.Mq[:, pos].sum(),
-                              h.cat_a[pos], mq, lm))
+    model = Model(g, np.full(dataset.d, omega_j, dtype=np.int8))
+    state = MiclState.from_partition(MarginalTables(dataset, hyper), model, z)
+    for cols, phi, glob in state._kinds:
+        pos = np.flatnonzero(cols == j)
+        if pos.size:
+            return float(phi[:, pos[0]].sum() if omega_j else glob[pos[0]])
     raise IndexError(f"column {j} out of range")
 
 
 def log_integrated_complete(dataset: Dataset, z, model: Model,
                             hyper: Hyperparameters) -> float:
-    """Closed-form log of the integrated complete-data likelihood."""
-    zi = np.asarray(z, dtype=np.intp)
-    nk = np.bincount(zi - 1, minlength=model.g).astype(float)
-    total = log_dirichlet_proportion_term(nk, hyper.u)
-    for j in range(dataset.d):
-        total += log_marginal_variable(dataset, j, z, model.g, int(model.omega[j]), hyper)
-    return total
+    """Closed-form log of the integrated complete-data likelihood: the value
+    of the optimizer's state at (model, z)."""
+    return MiclState.from_partition(MarginalTables(dataset, hyper), model, z).log_icl
 
 
 def model_step(dataset: Dataset, z, g: int, hyper: Hyperparameters) -> np.ndarray:

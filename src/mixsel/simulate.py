@@ -5,7 +5,7 @@ class-overlap knob calibrated to a target Bayes misclassification rate, plus
 MCAR masking."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np

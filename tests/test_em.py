@@ -241,3 +241,37 @@ def test_run_em_clean_data_keeps_every_start():
     assert not res.degenerate
     assert len(res.traces) == 3
     assert res.start_index < 3
+
+
+def test_observed_loglik_matches_scalar_logsumexp():
+    # categorical columns of 2 and 4 levels (so the padded one-hot has unused
+    # levels), an integer and a continuous column, ~15% missing cells
+    from scipy.special import logsumexp
+    from mixsel import log_density
+    rng = np.random.default_rng(21)
+    n = 50
+    X = np.column_stack([rng.normal(1.0, 2.0, n), rng.poisson(4.0, n),
+                         rng.integers(1, 3, n), rng.integers(1, 5, n)]).astype(float)
+    drop = rng.random(X.shape) < 0.15
+    drop[0] = False
+    X[drop] = np.nan
+    kinds = [CONT, INT, VariableKind.categorical(2), VariableKind.categorical(4)]
+    ds = Dataset(X, kinds)
+    assert 0.08 < 1.0 - ds.mask.mean() < 0.22
+    model = Model(3, [1, 0, 1, 0])
+    theta = m_step(ds, model, rng.dirichlet([2, 2, 2], n))
+    rows = [[np.log(theta.tau[k]) + sum(
+                log_density(X[i, j], kinds[j], theta.block(k, j))
+                for j in range(ds.d) if ds.mask[i, j])
+             for k in range(3)] for i in range(n)]
+    want = float(logsumexp(np.array(rows), axis=1).sum())
+    assert observed_loglik(ds, model, theta) == pytest.approx(want, rel=1e-12)
+
+
+def test_penalized_m_step_rejects_g_mismatch():
+    ds = _mixed_dataset(seed=16)
+    fuzzy = np.full((ds.n, 2), 0.5)
+    with pytest.raises(ValueError):
+        penalized_m_step(ds, 3, fuzzy, 1.0)
+    omega, theta, delta = penalized_m_step(ds, 2, fuzzy, 1.0)
+    assert theta.g == 2 and delta.shape == (ds.d,)

@@ -1,0 +1,34 @@
+"""No module of the package imports a name it never uses. ``__init__`` is
+exempt: its imports are the public API it re-exports. A stdlib ``ast`` check,
+since the project installs no linter."""
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "mixsel"
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by an import statement anywhere in ``source`` and never
+    read as a name (attribute access ``np.x`` reads ``np``)."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_checker_finds_unused_names():
+    src = "import os\nimport a.b\nfrom x import y, z as w\nprint(y, a)\n"
+    assert unused_imports(src) == ["os", "w"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_has_no_unused_imports(module):
+    assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []

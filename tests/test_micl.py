@@ -257,3 +257,22 @@ def test_masked_all_true_equals_unmasked_bitwise():
     model = Model(2, [1, 1, 0])
     assert log_integrated_complete(plain, z, model, h1) == \
         log_integrated_complete(masked, z, model, h2)
+
+
+def test_log_integrated_complete_matches_oracles_with_missing_cells():
+    rng = np.random.default_rng(16)
+    ds = _mixed_dataset(seed=16, n=15, missing=0.2)
+    assert not ds.mask.all()
+    h = Hyperparameters.default(ds)
+    g = 3
+    z = rng.integers(1, g + 1, size=ds.n)
+    model = Model(g, [1, 0, 1])
+    tuples = {"cont": (h.cont_a[0], h.cont_b[0], h.cont_c[0], h.cont_d[0]),
+              "int": (h.int_a[0], h.int_b[0]), "cat": (h.cat_a[0],)}
+    want = oracles.proportions_urn(z, g, h.u)
+    for j, kind in enumerate(ds.kinds):
+        groups = [np.flatnonzero(ds.mask[:, j] & (z == k + 1)) for k in range(g)] \
+            if model.omega[j] else [np.flatnonzero(ds.mask[:, j])]
+        want += oracles.marginal_oracle([ds.X[rows, j] for rows in groups], kind.tag,
+                                        tuples[kind.tag], m=2)
+    assert log_integrated_complete(ds, z, model, h) == pytest.approx(want, rel=1e-6)
