@@ -65,15 +65,6 @@ class SelectionReport:
         return float(np.mean(self.best.model.omega))
 
 
-def _argbest(records) -> GRecord:
-    # ties toward smaller g: strict improvement required, records in g order
-    best = records[0]
-    for rec in records[1:]:
-        if rec.value > best.value:
-            best = rec
-    return best
-
-
 def select_model(dataset: Dataset, criterion: str, g_max: int, config: EmConfig,
                  hyper: Hyperparameters | None = None) -> SelectionReport:
     """Sweep g = 1..g_max under one criterion and return the winning model.
@@ -119,7 +110,8 @@ def select_model(dataset: Dataset, criterion: str, g_max: int, config: EmConfig,
             rec = GRecord(criterion, g, model, value, res.loglik, res.theta,
                           None, time.perf_counter() - t0)
         report.records.append(rec)
-    report.best = _argbest(report.records)
+    # records are in g order and max keeps the first of equal values
+    report.best = max(report.records, key=lambda rec: rec.value)
     if criterion == "micl":
         # inference for the selected model only
         refit = run_em(dataset, report.best.model,

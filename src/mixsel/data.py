@@ -297,10 +297,6 @@ class Parameters:
             return self.probs[pos][k].copy()
         raise IndexError(f"column {j} out of range")
 
-    def copy(self) -> "Parameters":
-        return Parameters(self.tau.copy(), self.mu.copy(), self.sigma.copy(),
-                          self.rate.copy(), [p.copy() for p in self.probs], self.groups)
-
 
 @dataclass(frozen=True)
 class Hyperparameters:
@@ -335,14 +331,11 @@ class Hyperparameters:
         """Fairly flat defaults: u = 1/2, categorical a = 1/2; continuous
         a = b = 1, c = observed column mean, d = 0.01; integer a = b = 1."""
         gr = dataset.groups
-        col_means = np.array([
-            float(np.nanmean(dataset.X[:, j])) for j in gr.cont
-        ]) if gr.n_cont else np.zeros(0)
         return Hyperparameters(
             u=0.5,
             cont_a=np.ones(gr.n_cont),
             cont_b=np.ones(gr.n_cont),
-            cont_c=col_means,
+            cont_c=dataset.packed().shift.copy(),
             cont_d=np.full(gr.n_cont, 0.01),
             int_a=np.ones(gr.n_int),
             int_b=np.ones(gr.n_int),
@@ -355,7 +348,9 @@ class Packed:
     """Dense per-kind views of a dataset, shared read-only by the engines.
 
     Missing cells are stored as 0 in the value matrices and excluded through
-    the 0/1 mask matrices, so masked sums are plain matrix products.
+    the 0/1 mask matrices, so masked sums are plain matrix products. Continuous
+    cells are centered on their observed column mean (``shift``), so variances
+    do not cancel at any location. ``one_class`` is ``em.one_class_fit``.
     """
 
     def __init__(self, ds: Dataset):
@@ -369,7 +364,9 @@ class Packed:
             msk = M[:, cols].astype(float)
             return np.where(M[:, cols], sub, 0.0), msk
 
-        self.Xc, self.Mc = pack(gr.cont)
+        Xc, self.Mc = pack(gr.cont)
+        self.shift = Xc.sum(axis=0) / self.Mc.sum(axis=0)  # observed column means
+        self.Xc = np.where(self.Mc > 0, Xc - self.shift, 0.0)
         self.Xc2 = self.Xc * self.Xc
         self.Xi, self.Mi = pack(gr.integer)
         self.lgam = gammaln(self.Xi + 1.0) * self.Mi
@@ -377,47 +374,17 @@ class Packed:
         self.codes = np.where(M[:, gr.cat], Xq, 1.0).astype(np.intp) - 1
         self.m = gr.cat_levels
         self.m_max = int(self.m.max()) if gr.n_cat else 0
-        # one-hot (n, n_cat, m_max), zeroed on missing cells and padded levels
-        self.onehot = np.zeros((ds.n, gr.n_cat, self.m_max))
-        for jj in range(gr.n_cat):
-            obs = np.flatnonzero(self.Mq[:, jj])
-            self.onehot[obs, jj, self.codes[obs, jj]] = 1.0
-        self.level_mask = np.zeros((gr.n_cat, self.m_max), dtype=bool)
-        for jj in range(gr.n_cat):
-            self.level_mask[jj, : self.m[jj]] = True
+        levels = np.arange(self.m_max)
+        # one-hot (n, n_cat, m_max), zeroed on missing cells and padded levels;
+        # C order, which the broadcast would not keep (``codes`` is F-ordered)
+        self.onehot = ((self.codes[:, :, None] == levels)
+                       & (self.Mq[:, :, None] > 0)).astype(float, order="C")
+        self.level_mask = levels < self.m[:, None]
         self.kinds = ds.kinds
         self.nu = np.array([k.n_free_params for k in ds.kinds], dtype=float)  # per column
         self._row_obs: list | None = None
-
-        # Global (one-class) maximum-likelihood blocks; these are the shared
-        # parameters of every irrelevant column and never change during EM.
-        from . import densities  # local import to avoid a cycle
-
-        nc = self.Mc.sum(axis=0)
-        gmu = np.divide(self.Xc.sum(axis=0), nc, out=np.zeros_like(nc), where=nc > 0)
-        gvar = np.divide(self.Xc2.sum(axis=0), nc, out=np.zeros_like(nc), where=nc > 0) - gmu * gmu
-        self.gmu = gmu
-        self.gsig = densities.floor_sigma(np.sqrt(np.maximum(gvar, 0.0)))
-        ni = self.Mi.sum(axis=0)
-        self.grate = densities.floor_rate(
-            np.divide(self.Xi.sum(axis=0), ni, out=np.zeros_like(ni), where=ni > 0))
-        cnt = self.onehot.sum(axis=0)
-        self.gprobs = densities.floor_probs(cnt, self.level_mask)
-        # per-cell Gaussian log-densities at the global blocks, masked cells 0;
-        # the EM reuses them for every shared continuous column
-        self.gLc = densities.normal_logpdf(self.Xc, self.gmu, self.gsig) * self.Mc
-        # per-column log-likelihood at the global blocks (masked cells skipped)
-        gll = np.zeros(ds.d)
-        if gr.n_cont:
-            gll[gr.cont] = self.gLc.sum(axis=0)
-        if gr.n_int:
-            L = self.Xi * np.log(self.grate) - self.grate
-            gll[gr.integer] = (L * self.Mi).sum(axis=0) - self.lgam.sum(axis=0)
-        if gr.n_cat:
-            lp = np.log(np.where(self.level_mask, self.gprobs, 1.0))
-            gll[gr.cat] = (cnt * lp).sum(axis=1)
-        self.gll = gll
-        self.glgam = self.lgam.sum(axis=0)  # sum of ln Gamma(x+1) per integer column
+        from .em import one_class_fit  # local import: em imports this module
+        self.one_class = one_class_fit(self)
 
     def class_sums(self, t: np.ndarray) -> dict:
         """Per-class sums under the (n, g) weights ``t`` (responsibilities or

@@ -56,10 +56,8 @@ def normal_logpdf(x, mu, sigma):
     return -0.5 * z * z - np.log(sigma) - 0.5 * LOG_2PI
 
 
-def poisson_logpmf(x, rate, lgamma_xp1=None):
-    if lgamma_xp1 is None:
-        lgamma_xp1 = gammaln(np.asarray(x, dtype=float) + 1.0)
-    return x * np.log(rate) - rate - lgamma_xp1
+def poisson_logpmf(x, rate):
+    return x * np.log(rate) - rate - gammaln(np.asarray(x, dtype=float) + 1.0)
 
 
 def log_density(value: float, kind: VariableKind, block: np.ndarray) -> float:

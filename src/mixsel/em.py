@@ -4,6 +4,11 @@ Both engines share one mask-aware code path: masked cells are stored as 0 and
 excluded through 0/1 mask matrices, so with a fully observed dataset the
 arithmetic reduces exactly to the complete-data formulas.
 
+The shared block of an irrelevant column (and of a zero-weight cell) is the
+per-class estimator run at g = 1 (``one_class_fit``), so no path treats g = 1
+apart. The kernels work on ``Packed``'s centered cells; ``_assemble_theta``
+reports the means back in original units.
+
 An iteration is one M step (``_m_kernel``, where the penalized engine also
 re-chooses the relevance vector from the per-column Delta) and one E step
 (``_e_kernel``); the public ``e_step``, ``m_step`` and ``penalized_m_step``
@@ -18,6 +23,7 @@ vector and the parameters; `c = ln(n)/2` yields the BIC, `c = 1` the AIC.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,19 +110,25 @@ def _log_component_matrix(packed: Packed, theta: Parameters, Lc: np.ndarray):
 
 
 def _per_class_blocks(packed: Packed, st: dict):
-    """Floored per-component MLE blocks; zero-weight cells fall back to the
-    global block (they carry no observed information)."""
+    """Per block, the mask of cells that carry weight, and the floored
+    per-component MLE blocks (mu, sigma, rate, probs). Zero-weight cells carry
+    no observed information: continuous and integer ones take the shared
+    block (``_install``), categorical ones keep the uniform ``floor_probs``."""
     Wc, S1, S2 = st["Mc"], st["Xc"], st["Xc2"]
     ok = Wc > WEIGHT_TOL
     Wsafe = np.where(ok, Wc, 1.0)
-    mu = np.where(ok, S1 / Wsafe, packed.gmu)
-    var = np.where(ok, np.maximum(S2 / Wsafe - mu * mu, 0.0), 0.0)
-    sigma = np.where(ok, dens.floor_sigma(np.sqrt(var)), packed.gsig)
+    mu = S1 / Wsafe
+    sigma = dens.floor_sigma(np.sqrt(np.maximum(S2 / Wsafe - mu * mu, 0.0)))
     oki = st["Mi"] > WEIGHT_TOL
-    rate = np.where(oki, dens.floor_rate(st["Xi"] / np.where(oki, st["Mi"], 1.0)),
-                    packed.grate)
+    rate = dens.floor_rate(st["Xi"] / np.where(oki, st["Mi"], 1.0))
     probs = dens.floor_probs(st["onehot"], packed.level_mask)
-    return mu, sigma, rate, probs
+    return (ok, ok, oki, True), (mu, sigma, rate, probs)
+
+
+def _install(keep, blocks, shared):
+    """Per block, the per-class value where ``keep`` holds and the shared
+    (1, ...) block of the one-class fit elsewhere."""
+    return tuple(np.where(k, b, s) for k, b, s in zip(keep, blocks, shared))
 
 
 def _weighted_loglik_by_column(packed: Packed, t: np.ndarray, st: dict,
@@ -130,40 +142,47 @@ def _weighted_loglik_by_column(packed: Packed, t: np.ndarray, st: dict,
     """
     gr = packed.groups
     out = np.zeros(packed.d)
-    if gr.n_cont:
-        acc = np.zeros(gr.n_cont)
-        for k in range(t.shape[1]):
-            acc += t[:, k] @ Lc[k]
-        out[gr.cont] = acc
-    if gr.n_int:
-        terms = st["Xi"] * np.log(rate) - st["Mi"] * rate
-        out[gr.integer] = terms.sum(axis=0) - packed.glgam
-    if gr.n_cat:
-        lp = np.log(np.where(packed.level_mask, probs, 1.0))
-        out[gr.cat] = (st["onehot"] * lp).sum(axis=(0, 2))
+    acc = np.zeros(gr.n_cont)
+    for k in range(t.shape[1]):
+        acc += t[:, k] @ Lc[k]
+    out[gr.cont] = acc
+    terms = st["Xi"] * np.log(rate) - st["Mi"] * rate
+    out[gr.integer] = terms.sum(axis=0) - packed.lgam.sum(axis=0)
+    lp = np.log(np.where(packed.level_mask, probs, 1.0))
+    out[gr.cat] = (st["onehot"] * lp).sum(axis=(0, 2))
     return out
 
 
+class OneClassFit(NamedTuple):
+    """The one-component fit: the shared block of every irrelevant column."""
+
+    blocks: tuple       # (mu, sigma, rate, probs) shaped as for g = 1, mu centered
+    Lc: np.ndarray      # (1, n, n_cont) per-cell Gaussian log-densities
+    loglik: np.ndarray  # (d,) per-column log-likelihood
+
+
+def one_class_fit(packed: Packed) -> OneClassFit:
+    """The per-class estimator at g = 1, on all-ones weights."""
+    t = np.ones((packed.n, 1))
+    st = packed.class_sums(t)
+    _, (mu, sigma, rate, probs) = _per_class_blocks(packed, st)
+    Lc = _cont_logdens(packed, mu, sigma)
+    return OneClassFit((mu, sigma, rate, probs), Lc,
+                       _weighted_loglik_by_column(packed, t, st, Lc, rate, probs))
+
+
 def _assemble_theta(packed: Packed, tau, omega, mu, sigma, rate, probs) -> Parameters:
-    """Install per-class blocks on relevant columns and the shared global
-    block everywhere else."""
+    """Install per-class blocks on relevant columns and the shared block
+    everywhere else, with the continuous means back in original units."""
     gr = packed.groups
-    mu, sigma, rate = mu.copy(), sigma.copy(), rate.copy()
-    if gr.n_cont:
-        shared = omega[gr.cont] == 0
-        mu[:, shared] = packed.gmu[shared]
-        sigma[:, shared] = packed.gsig[shared]
-    if gr.n_int:
-        shared = omega[gr.integer] == 0
-        rate[:, shared] = packed.grate[shared]
-    plist = []
-    for jj in range(gr.n_cat):
-        mj = int(packed.m[jj])
-        p = probs[:, jj, :mj].copy()
-        if omega[gr.cat[jj]] == 0:
-            p[:] = packed.gprobs[jj, :mj]
-        plist.append(p)
-    return Parameters(np.asarray(tau, dtype=float), mu, sigma, rate, plist, gr)
+    rel = omega == 1
+    mu, sigma, rate, probs = _install(
+        (rel[gr.cont], rel[gr.cont], rel[gr.integer], rel[gr.cat][:, None]),
+        (mu, sigma, rate, probs), packed.one_class.blocks)
+    # one (g, m_j) matrix per categorical column, padding dropped
+    plist = np.split(probs[:, packed.level_mask], np.cumsum(packed.m), axis=1)[:-1]
+    return Parameters(np.asarray(tau, dtype=float), mu + packed.shift, sigma, rate,
+                      plist, gr)
 
 
 def _tau_from_nk(nk: np.ndarray, n: int, floor: bool):
@@ -180,16 +199,17 @@ def _spikes(packed: Packed, sigma, omega) -> np.ndarray:
     means the component collapsed onto a single point or exact duplicates
     (the floored density there grows without bound as the class shrinks)."""
     rel = omega[packed.groups.cont] == 1
-    return (sigma <= dens.SIGMA_FLOOR) & rel & (packed.gsig > 1e-6)
+    _, sigma1, _, _ = packed.one_class.blocks
+    return (sigma <= dens.SIGMA_FLOOR) & rel & (sigma1 > 1e-6)
 
 
 def _e_kernel(packed: Packed, theta: Parameters, Lc: np.ndarray | None = None):
     """Responsibilities t_ik ∝ tau_k * prod of observed-cell densities and
     the observed-data log-likelihood, from one stabilized log-space pass.
     ``Lc`` holds the continuous per-cell log-densities at ``theta`` (None:
-    evaluate them here)."""
+    evaluate them here, on the centered cells)."""
     if Lc is None:
-        Lc = _cont_logdens(packed, theta.mu, theta.sigma)
+        Lc = _cont_logdens(packed, theta.mu - packed.shift, theta.sigma)
     V = _log_component_matrix(packed, theta, Lc) + np.log(theta.tau)
     vmax = V.max(axis=1)
     V -= vmax[:, None]
@@ -201,8 +221,8 @@ def _e_kernel(packed: Packed, theta: Parameters, Lc: np.ndarray | None = None):
 
 def _m_kernel(packed: Packed, t: np.ndarray, omega, floor: bool,
               allow_spikes: bool, penalty_c: float | None = None):
-    """Weighted MLE update: per-class blocks on relevant columns, the shared
-    global block on irrelevant ones, proportions from the soft counts.
+    """Weighted MLE update: per-class blocks on relevant columns, the
+    one-class block on irrelevant ones, proportions from the soft counts.
 
     ``penalty_c`` None keeps ``omega``. Otherwise Delta_j compares the
     expected log-likelihood of the per-class fit of column j against the
@@ -213,20 +233,16 @@ def _m_kernel(packed: Packed, t: np.ndarray, omega, floor: bool,
     Returns (Parameters, omega, Delta or None, the ``_cont_logdens`` of the
     new parameters for the next E step, or None when it has none to reuse).
     """
-    gr = packed.groups
     g = t.shape[1]
+    shared = packed.one_class
     st = packed.class_sums(t)
     tau = _tau_from_nk(st["nk"], packed.n, floor)
-    mu, sigma, rate, probs = _per_class_blocks(packed, st)
+    mu, sigma, rate, probs = _install(*_per_class_blocks(packed, st), shared.blocks)
     Lc = delta = None
     if penalty_c is not None:
-        if g == 1:
-            # per-class and shared fits coincide exactly
-            delta = np.zeros(packed.d)
-        else:
-            Lc = _cont_logdens(packed, mu, sigma)
-            wll = _weighted_loglik_by_column(packed, t, st, Lc, rate, probs)
-            delta = wll - packed.gll - (g - 1.0) * packed.nu * penalty_c
+        Lc = _cont_logdens(packed, mu, sigma)
+        wll = _weighted_loglik_by_column(packed, t, st, Lc, rate, probs)
+        delta = wll - shared.loglik - (g - 1.0) * packed.nu * penalty_c
         omega = (delta > 0).astype(np.int8)
     spiky = _spikes(packed, sigma, omega)
     if not allow_spikes and spiky.any():
@@ -235,9 +251,8 @@ def _m_kernel(packed: Packed, t: np.ndarray, omega, floor: bool,
             f"{tuple(int(v) for v in np.argwhere(spiky)[0])}")
     theta = _assemble_theta(packed, tau, omega, mu, sigma, rate, probs)
     if Lc is not None:
-        # reuse the Delta's per-class matrices; shared columns take the global one
-        shared = omega[gr.cont] == 0
-        Lc = np.where(shared, packed.gLc, Lc)
+        # reuse the Delta's per-class matrices; shared columns take the one-class one
+        Lc = np.where(omega[packed.groups.cont] == 0, shared.Lc, Lc)
     return theta, omega, delta, Lc
 
 
@@ -283,24 +298,23 @@ def penalized_m_step(dataset: Dataset, g: int, fuzzy: np.ndarray, c: float):
 # ---------------------------------------------------------------------------
 
 def _init_theta(packed: Packed, g: int, omega: np.ndarray, rng: np.random.Generator) -> Parameters:
-    """Random start: g distinct observations as centers, global scales,
-    perturbed global level frequencies; shared columns start at the global
-    MLE; uniform proportions."""
+    """Random start: g distinct observations as centers, one-class scales,
+    perturbed one-class level frequencies; shared columns start at the
+    one-class fit; uniform proportions."""
     gr = packed.groups
     if packed.n < g:
         raise EmError("need at least g observations")
+    mu1, sigma1, rate1, probs1 = packed.one_class.blocks
     centers = rng.choice(packed.n, size=g, replace=False)
-    mu = np.where(packed.Mc[centers] > 0, packed.Xc[centers], packed.gmu)
-    sigma = np.tile(np.maximum(packed.gsig, 1e-6), (g, 1))
-    rate = np.maximum(np.where(packed.Mi[centers] > 0, packed.Xi[centers], packed.grate), 1e-2)
-    probs = np.zeros((g, gr.n_cat, packed.m_max))
-    if gr.n_cat:
-        # unit-scale log-normal perturbations: categorical starts need to be
-        # as assertive as the data-point centers are for continuous columns,
-        # or category-driven basins are never explored
-        noise = rng.standard_normal((g, gr.n_cat, packed.m_max))
-        raw = packed.gprobs[None, :, :] * np.exp(noise)
-        probs = dens.floor_probs(raw, packed.level_mask)
+    mu = np.where(packed.Mc[centers] > 0, packed.Xc[centers], mu1)
+    sigma = np.tile(np.maximum(sigma1, 1e-6), (g, 1))
+    rate = np.maximum(np.where(packed.Mi[centers] > 0, packed.Xi[centers], rate1), 1e-2)
+    # unit-scale log-normal perturbations: categorical starts need to be
+    # as assertive as the data-point centers are for continuous columns,
+    # or category-driven basins are never explored
+    noise = rng.standard_normal((g, gr.n_cat, packed.m_max))
+    raw = probs1 * np.exp(noise)
+    probs = dens.floor_probs(raw, packed.level_mask)
     tau = np.full(g, 1.0 / g)
     return _assemble_theta(packed, tau, omega, mu, sigma, rate, probs)
 

@@ -88,23 +88,28 @@ class MarginalTables:
     """Per-dataset constants used by the optimizer: the hyperparameter arrays
     of the continuous (a, b, c, d) and integer (a, b) columns, and the global
     (one-group) marginal of every column, which is what an irrelevant column
-    contributes for any partition."""
+    contributes for any partition. The prior mean ``c`` is shifted with
+    ``Packed``'s centered cells, which leaves every marginal unchanged."""
 
     def __init__(self, dataset: Dataset, hyper: Hyperparameters):
         self.dataset = dataset
         self.hyper = hyper
         p = dataset.packed()
         self.packed = p
-        h = hyper
-        self.hyp_cont = (h.cont_a, h.cont_b, h.cont_c, h.cont_d)
-        self.hyp_int = (h.int_a, h.int_b)
-        self.global_cont = _phi_cont(p.Mc.sum(0), p.Xc.sum(0), p.Xc2.sum(0),
-                                     *self.hyp_cont)
-        self.global_int = _phi_int(p.Mi.sum(0), p.Xi.sum(0), p.lgam.sum(0),
-                                   *self.hyp_int)
+        self.hyp_cont = (hyper.cont_a, hyper.cont_b, hyper.cont_c - p.shift, hyper.cont_d)
+        self.hyp_int = (hyper.int_a, hyper.int_b)
         self.mq = p.m.astype(float)
-        self.global_cat = _phi_cat(p.onehot.sum(0), p.Mq.sum(0),
-                                   h.cat_a, self.mq, p.level_mask)
+        # the global marginal is the per-class factor of the one-class partition
+        self.global_cont, self.global_int, self.global_cat = (
+            phi[0] for phi in self.factors(p.class_sums(np.ones((p.n, 1)))))
+
+    def factors(self, st: dict) -> tuple:
+        """(g, ·) per-class factors of the continuous, integer and categorical
+        columns from the class sums ``st`` (see ``Packed.class_sums``)."""
+        return (_phi_cont(st["Mc"], st["Xc"], st["Xc2"], *self.hyp_cont),
+                _phi_int(st["Mi"], st["Xi"], st["lgam"], *self.hyp_int),
+                _phi_cat(st["onehot"], st["Mq"], self.hyper.cat_a, self.mq,
+                         self.packed.level_mask))
 
 
 class MiclState:
@@ -129,10 +134,7 @@ class MiclState:
         self.cn, self.cS1, self.cS2 = st["Mc"], st["Xc"], st["Xc2"]
         self.inn, self.iS, self.iG = st["Mi"], st["Xi"], st["lgam"]
         self.catn, self.ccnt = st["Mq"], st["onehot"]
-        self.phic = _phi_cont(self.cn, self.cS1, self.cS2, *tables.hyp_cont)
-        self.phii = _phi_int(self.inn, self.iS, self.iG, *tables.hyp_int)
-        self.phiq = _phi_cat(self.ccnt, self.catn, tables.hyper.cat_a, tables.mq,
-                             p.level_mask)
+        self.phic, self.phii, self.phiq = tables.factors(st)
         # per kind: dataset columns, per-class factors, global factors
         self._kinds = ((p.groups.cont, self.phic, tables.global_cont),
                        (p.groups.integer, self.phii, tables.global_int),
@@ -251,9 +253,8 @@ class MiclState:
         (strict inequality keeps a column relevant; ties drop it). Returns
         True when omega changed."""
         omega = np.zeros(self.tables.packed.d, dtype=np.int8)
-        if self.model.g > 1:
-            for cols, phi, glob in self._kinds:
-                omega[cols] = phi.sum(0) > glob
+        for cols, phi, glob in self._kinds:
+            omega[cols] = phi.sum(0) > glob
         changed = bool((omega != self.model.omega).any())
         self.model = Model(self.model.g, omega)
         self._set_rel_masks()

@@ -42,7 +42,8 @@ class ScenarioSpec:
 
     ``target_error`` is the Bayes misclassification rate the overlap knob is
     calibrated to; ``r`` counts the class-separating columns (the remaining
-    d - r are noise). ``rho`` only applies to the continuous family.
+    d - r are noise). ``rho`` only applies to the continuous family; the
+    mixed family rejects a nonzero value.
     """
 
     family: str
@@ -70,6 +71,8 @@ class ScenarioSpec:
                 raise InvalidShape("mixed design needs d divisible by 3 and >= 6")
             if self.r != 6:
                 raise InvalidShape("mixed design uses exactly 6 separating columns")
+            if self.rho != 0.0:
+                raise InvalidShape("rho only applies to the continuous family")
 
 
 def ari(z1, z2) -> float:

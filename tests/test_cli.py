@@ -145,3 +145,14 @@ def test_cluster_rejects_threads_flag(sample_csv, tmp_path):
         main(["cluster", data, "--schema", schema, "--seed", "1", "--threads", "2",
               "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
+
+
+def test_simulate_mixed_rejects_rho(tmp_path, capsys):
+    # the mixed design has no correlation knob; a nonzero rho is a usage error
+    out = tmp_path / "sim"
+    code = main(["simulate", "--family", "mixed", "--n", "60", "--d", "12",
+                 "--rho", "0.3", "--replicates", "1", "--seed", "3",
+                 "--out", str(out)])
+    assert code == 2
+    assert "rho" in capsys.readouterr().err
+    assert not out.exists()

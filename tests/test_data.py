@@ -141,3 +141,33 @@ def test_parameters_block_accessor():
     assert probs.shape == (2,) and probs.sum() == pytest.approx(1.0)
     # shared column: identical across components
     assert np.array_equal(res.theta.block(0, 2), res.theta.block(1, 2))
+
+
+def test_packed_onehot_is_c_ordered_and_matches_loop_reference():
+    rng = np.random.default_rng(8)
+    n = 30
+    X = np.column_stack([rng.normal(size=n), rng.integers(1, 3, n),
+                         rng.integers(1, 5, n), rng.integers(1, 4, n)]).astype(float)
+    X[rng.random(X.shape) < 0.2] = np.nan
+    X[0] = [0.0, 1.0, 4.0, 3.0]
+    kinds = [CONT, VariableKind.categorical(2), VariableKind.categorical(4),
+             VariableKind.categorical(3)]
+    p = Dataset(X, kinds).packed()
+    assert p.onehot.flags.c_contiguous and p.onehot.dtype == float
+    ref = np.zeros((n, 3, 4))
+    mask = np.zeros((3, 4), dtype=bool)
+    for jj, j in enumerate((1, 2, 3)):
+        mask[jj, :kinds[j].levels] = True
+        for i in range(n):
+            if not np.isnan(X[i, j]):
+                ref[i, jj, int(X[i, j]) - 1] = 1.0
+    assert np.array_equal(p.onehot, ref)
+    assert np.array_equal(p.level_mask, mask)
+
+
+def test_packed_centers_continuous_cells():
+    ds = Dataset([[1e8 + 1.0, 2.0], [np.nan, 1.0], [1e8 + 3.0, 0.0]], [CONT, INT])
+    p = ds.packed()
+    assert p.shift[0] == 1e8 + 2.0
+    assert list(p.Xc[:, 0]) == [-1.0, 0.0, 1.0]
+    assert Hyperparameters.default(ds).cont_c[0] == 1e8 + 2.0

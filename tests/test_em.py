@@ -275,3 +275,43 @@ def test_penalized_m_step_rejects_g_mismatch():
         penalized_m_step(ds, 3, fuzzy, 1.0)
     omega, theta, delta = penalized_m_step(ds, 2, fuzzy, 1.0)
     assert theta.g == 2 and delta.shape == (ds.d,)
+
+
+def test_shared_block_is_unit_weight_mle_of_observed_cells():
+    # every column irrelevant: each component gets the one-class fit, which
+    # must be the unit-weight MLE of the observed cells, in original units
+    from mixsel import weighted_mle
+    ds = _mixed_dataset(seed=23, n=80, missing=0.2)
+    assert 0.12 < 1.0 - ds.mask.mean() < 0.28
+    fuzzy = np.random.default_rng(4).dirichlet([1, 1], ds.n)
+    theta = m_step(ds, Model(2, np.zeros(ds.d)), fuzzy)
+    loglik = ds.packed().one_class.loglik
+    for j, kind in enumerate(ds.kinds):
+        obs = ds.mask[:, j]
+        want = weighted_mle(ds.X[obs, j], np.ones(obs.sum()), kind)
+        for k in range(2):
+            assert theta.block(k, j) == pytest.approx(want, rel=1e-12)
+        assert loglik[j] == pytest.approx(column_loglik(ds, j, range(ds.n), want),
+                                          rel=1e-12)
+
+
+def test_m_step_zero_weight_cells_take_shared_block():
+    # class 3 holds exactly the rows whose continuous, integer and categorical
+    # cells are missing; the last column is observed everywhere
+    from mixsel import weighted_mle
+    rng = np.random.default_rng(31)
+    n = 45
+    X = np.column_stack([rng.normal(5.0, 2.0, n), rng.poisson(3.0, n),
+                         rng.choice([1, 2, 3], n, p=[0.6, 0.3, 0.1]),
+                         rng.normal(size=n)]).astype(float)
+    z = np.repeat([0, 1, 2], 15)
+    X[z == 2, :3] = np.nan
+    ds = Dataset(X, [CONT, INT, VariableKind.categorical(3), CONT])
+    theta = m_step(ds, Model(3, [1, 1, 1, 1]), np.eye(3)[z])
+    for j, kind in ((0, CONT), (1, INT)):
+        obs = ds.mask[:, j]
+        shared = weighted_mle(X[obs, j], np.ones(obs.sum()), kind)
+        assert theta.block(2, j) == pytest.approx(shared, rel=1e-12)
+        assert not np.allclose(theta.block(0, j), shared)
+    assert theta.block(2, 2) == pytest.approx(np.full(3, 1.0 / 3.0), rel=1e-12)
+    assert theta.block(2, 3)[0] == pytest.approx(X[z == 2, 3].mean(), rel=1e-12)
