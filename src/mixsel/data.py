@@ -382,7 +382,6 @@ class Packed:
         self.level_mask = levels < self.m[:, None]
         self.kinds = ds.kinds
         self.nu = np.array([k.n_free_params for k in ds.kinds], dtype=float)  # per column
-        self._row_obs: list | None = None
         from .em import one_class_fit  # local import: em imports this module
         self.one_class = one_class_fit(self)
 
@@ -397,13 +396,3 @@ class Packed:
         sums["nk"] = t.sum(axis=0)
         sums["onehot"] = np.einsum("nk,njh->kjh", t, self.onehot)
         return sums
-
-    def row_obs(self, i: int):
-        """Per-kind observed column positions of row i (cached)."""
-        if self._row_obs is None:
-            self._row_obs = [
-                (np.flatnonzero(self.Mc[r]), np.flatnonzero(self.Mi[r]),
-                 np.flatnonzero(self.Mq[r]))
-                for r in range(self.n)
-            ]
-        return self._row_obs[i]

@@ -16,6 +16,12 @@ prior normalization, i.e. exactly zero on the log scale.
 it builds the per-class sums with ``Packed.class_sums`` (the EM's M step uses
 the same builder), and ``log_integrated_complete`` and ``log_marginal_variable``
 read their values from a state built at the given partition.
+
+The partition step is a greedy sweep of single-row moves in a random order.
+It scores the next rows of the order as one block against the current state
+(``MiclState.candidate_values`` on many rows is one numpy pass) and takes the
+first improving move; the rows before it saw the state a row-by-row sweep
+would have seen, so the blocked sweep makes the same moves.
 """
 from __future__ import annotations
 
@@ -30,6 +36,7 @@ from .util import derive_seed, seeded_rng
 
 LOG_PI = float(np.log(np.pi))
 SWEEP_CAP = 50           # greedy sweeps per partition step
+BLOCK_ROWS = 256         # rows scored per candidate_values pass of a sweep
 MAX_ALTERNATIONS = 100   # partition/model alternations per start
 # the small EM whose MAP partition seeds a start (its seed is set per start)
 START_EM = EmConfig(seed=0, n_starts=1, max_iterations=200, rel_tolerance=1e-4)
@@ -120,6 +127,9 @@ class MiclState:
     Continuous and integer columns share one move rule: per class an observed
     count, a sum and a second sum (of squares, or of ln Gamma(x+1)), and a
     closed-form factor of the three; categorical columns keep level counts.
+    ``candidate_values`` scores a block of rows against the frozen state in
+    one pass over the relevant columns, where a missing cell adds exactly 0;
+    ``apply_move`` then updates the statistics of the one row that moves.
     """
 
     def __init__(self, tables: MarginalTables, model: Model, zi: np.ndarray):
@@ -139,11 +149,12 @@ class MiclState:
         self._kinds = ((p.groups.cont, self.phic, tables.global_cont),
                        (p.groups.integer, self.phii, tables.global_int),
                        (p.groups.cat, self.phiq, tables.global_cat))
-        # per moment kind: count, sum, second sum, factors, the cell values
-        # behind the two sums, the factor function and its hyperparameters
-        self._moments = ((self.cn, self.cS1, self.cS2, self.phic, p.Xc, p.Xc2,
+        # per moment kind: count, sum, second sum, factors, the row mask and
+        # the cell values behind the three, the factor function and its
+        # hyperparameters
+        self._moments = ((self.cn, self.cS1, self.cS2, self.phic, p.Mc, p.Xc, p.Xc2,
                           _phi_cont, tables.hyp_cont),
-                         (self.inn, self.iS, self.iG, self.phii, p.Xi, p.lgam,
+                         (self.inn, self.iS, self.iG, self.phii, p.Mi, p.Xi, p.lgam,
                           _phi_int, tables.hyp_int))
         self._set_rel_masks()
         self.log_icl = self._value()
@@ -159,8 +170,20 @@ class MiclState:
         return self.zi + 1
 
     def _set_rel_masks(self):
-        """Per kind, the relevance of its columns (order of ``_kinds``)."""
+        """Per kind, the relevance of its columns (order of ``_kinds``), and
+        the relevant columns' cells that ``candidate_values`` reads: per
+        moment kind (positions, mask, values, hyperparameters), and for the
+        categorical columns (positions, mask, flat index of each cell's level
+        count, Dirichlet weight, level count)."""
         self.rel = tuple(self.model.omega[cols] == 1 for cols, _, _ in self._kinds)
+        pos = [np.flatnonzero(r) for r in self.rel]
+        self._rel_cells = tuple(
+            (J, M[:, J], X1[:, J], X2[:, J], [v[J] for v in hyp])
+            for J, (*_, M, X1, X2, _fn, hyp) in zip(pos, self._moments))
+        p, J = self.tables.packed, pos[2]
+        flat = J * p.m_max + p.codes[:, J]
+        self._rel_cat = (J, p.Mq[:, J], flat, self.tables.hyper.cat_a[J],
+                         self.tables.mq[J])
 
     def _value(self) -> float:
         total = log_dirichlet_proportion_term(self.nk, self.tables.hyper.u)
@@ -174,40 +197,50 @@ class MiclState:
 
     # -- single-observation moves -------------------------------------------
 
-    def candidate_values(self, i: int) -> np.ndarray:
-        """Objective value after reassigning observation i to each component
-        (entry of the current component = current value)."""
-        p, h = self.tables.packed, self.tables.hyper
-        a = self.zi[i]
-        vals = np.log(self.nk + h.u) - np.log(self.nk[a] - 1.0 + h.u)
-        rem = 0.0
-        obs = p.row_obs(i)
-        # row views and take() gather the same cells as [i, J] and [:, J],
-        # without the cost of mixed fancy indexing
-        for (cn, s1, s2, phi, X1, X2, fn, hyp), o, rel in zip(self._moments, obs, self.rel):
-            J = o[rel[o]]
+    def candidate_values(self, rows) -> np.ndarray:
+        """Objective value after reassigning each of ``rows`` alone to each
+        component, all scored against the current state: shape (B, g), or
+        (g,) for a scalar row (entry of the row's own component = current
+        value).
+
+        One pass over the block: per kind, the (B, g, J) "up" factors (the
+        row joins class k) and the (B, J) "down" factors (it leaves its own
+        class) over the J relevant columns; a missing cell adds exactly 0."""
+        h = self.tables.hyper
+        R = np.atleast_1d(rows)
+        idx = np.arange(len(R))
+        a = self.zi[R]
+        vals = np.log(self.nk + h.u) - np.log(self.nk[a] - 1.0 + h.u)[:, None]
+        rem = np.zeros(len(R))
+        for (cn, s1, s2, phi, *_, fn, _), (J, M, X1, X2, hj) in zip(self._moments,
+                                                                    self._rel_cells):
             if J.size:
-                x, x2, hj = X1[i][J], X2[i][J], [v[J] for v in hyp]
+                m, x, x2 = M.take(R, axis=0), X1.take(R, axis=0), X2.take(R, axis=0)
+                obs = m > 0
+                cJ, t1, t2 = cn.take(J, axis=1), s1.take(J, axis=1), s2.take(J, axis=1)
                 base = phi.take(J, axis=1)
-                up = fn(cn.take(J, axis=1) + 1.0, s1.take(J, axis=1) + x,
-                        s2.take(J, axis=1) + x2, *hj)
-                vals += (up - base).sum(axis=1)
-                down = fn(cn[a][J] - 1.0, s1[a][J] - x, s2[a][J] - x2, *hj)
-                rem += float((down - base[a]).sum())
-        oq = obs[2]
-        Jq = oq[self.rel[2][oq]]
-        if Jq.size:
-            code = p.codes[i, Jq]
-            aq, mq = h.cat_a[Jq], self.tables.mq[Jq]
-            cnt = self.ccnt[:, Jq, code]
-            N = self.catn[:, Jq]
-            vals += (gammaln(cnt + 1.0 + aq) - gammaln(cnt + aq)
-                     - gammaln(N + 1.0 + mq * aq) + gammaln(N + mq * aq)).sum(axis=1)
-            rem += float((gammaln(cnt[a] - 1.0 + aq) - gammaln(cnt[a] + aq)
-                          - gammaln(N[a] - 1.0 + mq * aq) + gammaln(N[a] + mq * aq)).sum())
-        vals = self.log_icl + vals + rem
-        vals[a] = self.log_icl
-        return vals
+                up = fn(cJ + 1.0, t1 + x[:, None, :], t2 + x2[:, None, :], *hj)
+                vals += np.where(obs[:, None, :], up - base, 0.0).sum(axis=2)
+                down = fn(cJ[a] - m, t1[a] - x, t2[a] - x2, *hj)
+                rem += np.where(obs, down - base[a], 0.0).sum(axis=1)
+        J, M, flat, aq, mq = self._rel_cat
+        if J.size:
+            m = M.take(R, axis=0)
+            obs = m > 0
+            # (B, g, J): per class, the count of each cell's level
+            cnt = self.ccnt.reshape(self.model.g, -1)[:, flat.take(R, axis=0)]
+            cnt = cnt.transpose(1, 0, 2)
+            N = self.catn.take(J, axis=1)
+            up = (gammaln(cnt + 1.0 + aq) - gammaln(cnt + aq)
+                  - gammaln(N + 1.0 + mq * aq) + gammaln(N + mq * aq))
+            vals += np.where(obs[:, None, :], up, 0.0).sum(axis=2)
+            ca, Na = cnt[idx, a], N[a]
+            down = (gammaln(ca - m + aq) - gammaln(ca + aq)
+                    - gammaln(Na - m + mq * aq) + gammaln(Na + mq * aq))
+            rem += np.where(obs, down, 0.0).sum(axis=1)
+        vals = self.log_icl + vals + rem[:, None]
+        vals[idx, a] = self.log_icl
+        return vals if np.ndim(rows) else vals[0]
 
     def apply_move(self, i: int, k: int, new_value: float | None = None) -> None:
         """Reassign observation i to component k (0-based) and update the
@@ -218,8 +251,8 @@ class MiclState:
         if new_value is None:
             new_value = float(self.candidate_values(i)[k])
         p, h = self.tables.packed, self.tables.hyper
-        obs = p.row_obs(i)
-        for (cn, s1, s2, phi, X1, X2, fn, hyp), o in zip(self._moments, obs):
+        for cn, s1, s2, phi, M, X1, X2, fn, hyp in self._moments:
+            o = np.flatnonzero(M[i])
             if o.size:
                 x, x2 = X1[i][o], X2[i][o]
                 for cls, sgn in ((a, -1.0), (k, 1.0)):
@@ -229,7 +262,7 @@ class MiclState:
                 hj = [v[o] for v in hyp]
                 for cls in (a, k):
                     phi[cls][o] = fn(cn[cls][o], s1[cls][o], s2[cls][o], *hj)
-        oq = obs[2]
+        oq = np.flatnonzero(p.Mq[i])
         if oq.size:
             code = p.codes[i, oq]
             self.ccnt[a, oq, code] -= 1.0
@@ -299,18 +332,33 @@ def partition_step(dataset: Dataset, state: MiclState, *,
                    rng: np.random.Generator) -> MiclState:
     """Greedy single-observation reassignments (random order per sweep) until
     a full sweep makes no move or ``SWEEP_CAP`` sweeps are done. Never
-    decreases the objective."""
+    decreases the objective.
+
+    The next ``BLOCK_ROWS`` rows of the sweep's order are scored as one block
+    against the current state; the first row with an improving move takes
+    it, and the sweep resumes right after that row. The rows before it were
+    scored against the same state the sequential sweep would have seen, so
+    the visits and moves are those of a row-by-row sweep."""
     if state.tables.dataset is not dataset:
         raise ValueError("state was built for a different dataset")
     n = state.tables.packed.n
     for _ in range(SWEEP_CAP):
         moved = False
-        for i in rng.permutation(n):
-            vals = state.candidate_values(int(i))
-            k = int(np.argmax(vals))
-            if vals[k] > vals[state.zi[i]]:
-                state.apply_move(int(i), k, float(vals[k]))
-                moved = True
+        order = rng.permutation(n)
+        pos = 0
+        while pos < n:
+            rows = order[pos:pos + BLOCK_ROWS]
+            vals = state.candidate_values(rows)
+            best = vals.argmax(axis=1)
+            idx = np.arange(len(rows))
+            hits = np.flatnonzero(vals[idx, best] > vals[idx, state.zi[rows]])
+            if not hits.size:
+                pos += len(rows)
+                continue
+            f = int(hits[0])
+            state.apply_move(int(rows[f]), int(best[f]), float(vals[f, best[f]]))
+            moved = True
+            pos += f + 1
         if not moved:
             break
     state.log_icl = state._value()

@@ -113,13 +113,21 @@ def _tridiag(r: int, rho: float) -> np.ndarray:
     return S
 
 
+def _pair_sum(t):
+    """Row sums of an (n, 2) array: the rounding of ``t.sum(axis=1)``
+    without the cost of a length-2 reduction."""
+    return t[:, 0] + t[:, 1]
+
+
 def _mixed_log_ratio(xc, xi, xb, delta):
     """Log density ratio (component 2 over component 1) of the six separating
     margins of the mixed design."""
-    lr = (2.0 * delta * xc).sum(axis=1)
     lam1, lam2 = 3.0 - delta, 3.0 + delta
-    lr += (xi * np.log(lam2 / lam1) - (lam2 - lam1)).sum(axis=1)
-    lr += (xb * np.log(0.7 / 0.3) + (1 - xb) * np.log(0.3 / 0.7)).sum(axis=1)
+    log_lam, dlam = np.log(lam2 / lam1), lam2 - lam1
+    log_hi, log_lo = np.log(0.7 / 0.3), np.log(0.3 / 0.7)
+    lr = _pair_sum(2.0 * delta * xc)
+    lr += _pair_sum(xi * log_lam - dlam)
+    lr += _pair_sum(xb * log_hi + (1 - xb) * log_lo)
     return lr
 
 

@@ -31,11 +31,14 @@ def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any], threads: int = 
     """Map ``fn`` over ``items``, optionally on a process pool.
 
     Results are returned in input order, so the reduction is identical
-    for any worker count (each item must be seeded independently).
+    for any worker count (each item must be seeded independently). The pool
+    has at most one worker per item: under the fork start method every
+    worker is forked at the first submit, busy or not.
     """
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(items))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from mixsel import micl
 from mixsel import (Dataset, Hyperparameters, MarginalTables, MiclConfig,
                     MiclState, Model, VariableKind,
                     log_dirichlet_proportion_term, log_integrated_complete,
@@ -276,3 +277,85 @@ def test_log_integrated_complete_matches_oracles_with_missing_cells():
         want += oracles.marginal_oracle([ds.X[rows, j] for rows in groups], kind.tag,
                                         tuples[kind.tag], m=2)
     assert log_integrated_complete(ds, z, model, h) == pytest.approx(want, rel=1e-6)
+
+
+def _wide_mixed_dataset(seed, n, missing):
+    """Four columns of each kind (categorical with 2 and 4 levels), about
+    ``missing`` of the cells masked at random (row 0 kept whole)."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.normal(0.5, 2.0, (n, 4)), rng.poisson(2.5, (n, 4)),
+                         rng.integers(1, 3, (n, 2)), rng.integers(1, 5, (n, 2))]).astype(float)
+    drop = rng.random(X.shape) < missing
+    drop[0] = False
+    X[drop] = np.nan
+    kinds = [CONT] * 4 + [INT] * 4 + [CAT2] * 2 + [VariableKind.categorical(4)] * 2
+    return Dataset(X, kinds)
+
+
+def _moved_state(seed, g=3, n=60):
+    """A g-class state on the wide dataset with a mixed omega, after a few
+    hundred incremental moves."""
+    rng = np.random.default_rng(seed)
+    ds = _wide_mixed_dataset(seed, n, 0.2)
+    tables = MarginalTables(ds, Hyperparameters.default(ds))
+    omega = np.tile([1, 0, 1], 4)
+    state = MiclState.from_partition(tables, Model(g, omega), rng.integers(1, g + 1, n))
+    for _ in range(300):
+        state.apply_move(int(rng.integers(n)), int(rng.integers(g)))
+    return ds, tables, state
+
+
+def test_blocked_candidate_values_equal_stacked_rows():
+    ds, _, state = _moved_state(17)
+    assert 0.15 < 1.0 - ds.mask.mean() < 0.25
+    rows = np.random.default_rng(18).permutation(ds.n)[:40]
+    block = state.candidate_values(rows)
+    assert block.shape == (40, 3)
+    stacked = np.stack([state.candidate_values(int(i)) for i in rows])
+    assert np.array_equal(block, stacked)
+
+
+def test_blocked_candidate_values_equal_rebuilt_states():
+    ds, tables, state = _moved_state(19)
+    rows = np.arange(ds.n)
+    block = state.candidate_values(rows)
+    for b, i in enumerate(rows):
+        for k in range(state.model.g):
+            zi = state.zi.copy()
+            zi[i] = k
+            want = MiclState(tables, state.model, zi).log_icl
+            assert block[b, k] == pytest.approx(want, rel=0, abs=1e-9), (i, k)
+
+
+def _sequential_partition_step(state, rng):
+    """Row-by-row greedy sweep: the reference the blocked sweep must match."""
+    n = state.tables.packed.n
+    for _ in range(micl.SWEEP_CAP):
+        moved = False
+        for i in rng.permutation(n):
+            vals = state.candidate_values(int(i))
+            k = int(np.argmax(vals))
+            if vals[k] > vals[state.zi[i]]:
+                state.apply_move(int(i), k, float(vals[k]))
+                moved = True
+        if not moved:
+            break
+    return state
+
+
+def test_blocked_partition_step_makes_the_sequential_moves(monkeypatch):
+    rng = np.random.default_rng(20)
+    ds = _wide_mixed_dataset(20, 30, 0.2)
+    tables = MarginalTables(ds, Hyperparameters.default(ds))
+    default_rows = micl.BLOCK_ROWS
+    for trial in range(200):
+        # every other trial uses short blocks, so moves land across block ends
+        monkeypatch.setattr(micl, "BLOCK_ROWS", 7 if trial % 2 else default_rows)
+        g = int(rng.integers(1, 4))
+        z = rng.integers(1, g + 1, size=ds.n)
+        model = Model(g, rng.integers(0, 2, size=ds.d))
+        blocked = MiclState.from_partition(tables, model, z)
+        partition_step(ds, blocked, rng=np.random.default_rng(trial))
+        reference = MiclState.from_partition(tables, model, z)
+        _sequential_partition_step(reference, np.random.default_rng(trial))
+        assert np.array_equal(blocked.z, reference.z), trial

@@ -7,7 +7,8 @@ from mixsel import (InvalidShape, LengthMismatch, NoRoot, ScenarioSpec, ari,
                     calibrate_delta, gen_continuous, gen_mixed, generate,
                     inject_mcar)
 from mixsel.simulate import (CONTINUOUS_TRIDIAG, MIXED_INDEP,
-                             _mixed_bayes_error, _mixed_margins, _tridiag)
+                             _mixed_bayes_error, _mixed_log_ratio, _mixed_margins,
+                             _tridiag)
 
 
 def test_ari_reference_values():
@@ -149,3 +150,16 @@ def test_inject_mcar_never_kills_a_column():
     ds = Dataset(rng.normal(size=(10, 4)), [VariableKind.continuous()] * 4)
     masked = inject_mcar(ds, 0.9, seed=11)
     assert masked.mask.any(axis=0).all()
+
+
+def test_mixed_log_ratio_equals_axis_sums():
+    rng = np.random.default_rng(31)
+    for delta in (1e-9, 0.4, 1.4062500000625, 2.99):
+        xc = rng.standard_normal((2000, 2)) - delta
+        xi = rng.poisson(3.0 - delta, size=(2000, 2)).astype(float)
+        xb = rng.binomial(1, 0.3, size=(2000, 2)).astype(float)
+        lam1, lam2 = 3.0 - delta, 3.0 + delta
+        want = (2.0 * delta * xc).sum(axis=1)
+        want += (xi * np.log(lam2 / lam1) - (lam2 - lam1)).sum(axis=1)
+        want += (xb * np.log(0.7 / 0.3) + (1 - xb) * np.log(0.3 / 0.7)).sum(axis=1)
+        assert np.array_equal(_mixed_log_ratio(xc, xi, xb, delta), want)
