@@ -92,7 +92,7 @@ def cmd_cluster(args, argv) -> int:
         w.writerow(["row", "label"] + [f"t_{k + 1}" for k in range(g)])
         for i in range(dataset.n):
             w.writerow([i + 1, int(report.partition[i])]
-                       + [f"{report.fuzzy[i, k]:.17g}" for k in range(g)])
+                       + [repr(float(t)) for t in report.fuzzy[i]])
 
     dump_json({
         "manifest_id": mid,
@@ -138,8 +138,8 @@ def cmd_simulate(args, argv) -> int:
         cols = ["rep", "criterion", "ari", "g", "rel_rate", "value", "runtime_s"]
         w.writerow(cols)
         for rec in records:
-            w.writerow([rec["rep"], rec["criterion"]]
-                       + [f"{rec[c]:.17g}" for c in cols[2:]])
+            w.writerow([rec[c] if c in ("rep", "criterion", "g") else repr(float(rec[c]))
+                        for c in cols])
     dump_json({"manifest_id": mid, "scenario": {
         "family": args.family, "n": args.n, "d": args.d, "rho": args.rho,
         "target_error": args.target_error, "missing": args.missing,

@@ -17,10 +17,7 @@ import numpy as np
 from .data import CAT, CONT, INT, DataError, Dataset, VariableKind
 
 MISSING_TOKEN = "NA"
-
-
-def _is_missing(raw: str) -> bool:
-    return raw == "" or raw == MISSING_TOKEN
+_MISSING = frozenset(("", MISSING_TOKEN))
 
 
 def _numeric(raw: str):
@@ -73,24 +70,25 @@ def read_csv(path: str, schema: dict | None = None):
     or inferred, and the categorical level mapping.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh)
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader
                 if row and not (row[0].startswith("#") and len(row) == 1)]
     if len(rows) < 2:
         raise DataError(f"{path}: need a header row and at least one data row")
-    names = [c.strip() for c in rows[0]]
-    body = rows[1:]
+    (_, header), *body = rows
+    names = [c.strip() for c in header]
     d = len(names)
-    for r, row in enumerate(body, 2):
+    for line, row in body:
         if len(row) != d:
-            raise DataError(f"{path}:{r}: expected {d} fields, got {len(row)}")
-    cells = [[c.strip() for c in row] for row in body]
-    n = len(cells)
+            raise DataError(f"{path}:{line}: expected {d} fields, got {len(row)}")
     kinds: list[VariableKind] = []
     info = {"kinds": {}, "source": {}, "categorical_levels": {}}
-    X = np.full((n, d), np.nan)
+    X = np.empty((len(body), d))
     cat_labels = {}
-    for j, name in enumerate(names):
-        observed = [cells[i][j] for i in range(n) if not _is_missing(cells[i][j])]
+    columns = zip(*(row for _, row in body))
+    for j, (name, col) in enumerate(zip(names, columns)):
+        col = [c.strip() for c in col]
+        observed = [raw for raw in col if raw not in _MISSING]
         declared = schema.get(name) if schema else None
         if schema is not None and declared is None:
             raise DataError(f"{path}: column {name!r} missing from the schema")
@@ -101,30 +99,20 @@ def read_csv(path: str, schema: dict | None = None):
                 levels = sorted(set(observed))
             if len(levels) < 2:
                 raise DataError(f"{path}: categorical column {name!r} needs >= 2 levels")
-            code = {lab: h + 1 for h, lab in enumerate(levels)}
             kinds.append(VariableKind.categorical(len(levels)))
             cat_labels[j] = list(levels)
             info["categorical_levels"][name] = list(levels)
-            for i in range(n):
-                raw = cells[i][j]
-                if _is_missing(raw):
-                    continue
-                if raw not in code:
-                    raise DataError(
-                        f"{path}: cell ({i + 1}, {name!r}) = {raw!r} is not a declared level")
-                X[i, j] = code[raw]
+            parse = {lab: float(h + 1) for h, lab in enumerate(levels)}.get
+            problem = "is not a declared level"
         else:
             kinds.append(VariableKind.continuous() if tag == CONT
                          else VariableKind.integer())
-            for i in range(n):
-                raw = cells[i][j]
-                if _is_missing(raw):
-                    continue
-                x = _numeric(raw)
-                if x is None:
-                    raise DataError(
-                        f"{path}: cell ({i + 1}, {name!r}) = {raw!r} is not numeric")
-                X[i, j] = x
+            parse, problem = _numeric, "is not numeric"
+        values = [np.nan if raw in _MISSING else parse(raw) for raw in col]
+        if None in values:
+            i = values.index(None)
+            raise DataError(f"{path}: cell ({i + 1}, {name!r}) = {col[i]!r} {problem}")
+        X[:, j] = values
         info["kinds"][name] = tag
     ds = Dataset(X, kinds, names=names, cat_labels=cat_labels)
     return ds, info
@@ -171,8 +159,11 @@ def read_partition(path: str) -> np.ndarray:
     header = [c.strip() for c in rows[0]]
     if "label" in header:
         col = header.index("label")
-        return np.array([row[col] for row in rows[1:]])
-    flat = [row[0].strip() for row in rows]
-    if flat and flat[0].lower() in ("label", "labels"):
-        flat = flat[1:]
-    return np.array(flat)
+        labels = [row[col] for row in rows[1:]]
+    else:
+        labels = [row[0].strip() for row in rows]
+        if labels[0].lower() in ("label", "labels"):
+            labels = labels[1:]
+    if not labels:
+        raise DataError(f"{path}: no labels in the partition file")
+    return np.array(labels)

@@ -373,6 +373,10 @@ class MiclConfig:
     seed: int
     n_starts: int = 20
 
+    def __post_init__(self):
+        if self.n_starts < 1:
+            raise ValueError("invalid MICL configuration")
+
 
 def run_micl(dataset: Dataset, g: int, hyper: Hyperparameters,
              config: MiclConfig):

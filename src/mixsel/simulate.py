@@ -9,10 +9,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from .data import Dataset, Model, VariableKind
-from .util import derive_seed
+from .util import derive_seed, seeded_rng
 
 CONTINUOUS_TRIDIAG = "continuous-tridiag"
 MIXED_INDEP = "mixed-indep"
@@ -98,7 +98,7 @@ def ari(z1, z2) -> float:
     A = int(comb2(table.sum(axis=1)).sum())
     B = int(comb2(table.sum(axis=0)).sum())
     N2 = len(z1) * (len(z1) - 1) // 2
-    expected = A * B / N2
+    expected = A * B / N2 if N2 else 0.0
     maximum = 0.5 * (A + B)
     if maximum == expected:
         return 1.0
@@ -133,7 +133,7 @@ def _mixed_log_ratio(xc, xi, xb, delta):
 
 def _mixed_bayes_error(delta: float, n_draws: int, seed: int) -> float:
     """Monte-Carlo Bayes risk of the two-component mixed design."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed]))
+    rng = seeded_rng(seed)
     half = n_draws // 2
     lam1, lam2 = 3.0 - delta, 3.0 + delta
     xc = rng.standard_normal((half, 2)) - delta
@@ -157,7 +157,7 @@ def calibrate_delta(spec: ScenarioSpec) -> float:
     if spec.family == CONTINUOUS_TRIDIAG:
         q = float(np.ones(spec.r) @ np.linalg.solve(_tridiag(spec.r, spec.rho),
                                                     np.ones(spec.r)))
-        return float(stats.norm.ppf(1.0 - spec.target_error) / np.sqrt(q))
+        return float(ndtri(1.0 - spec.target_error) / np.sqrt(q))
     return _calibrate_mixed(round(spec.target_error, 9))
 
 
@@ -197,7 +197,7 @@ def gen_continuous(spec: ScenarioSpec):
     if spec.family != CONTINUOUS_TRIDIAG:
         raise InvalidShape("spec is not a continuous design")
     delta = calibrate_delta(spec)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[spec.seed, 1]))
+    rng = seeded_rng(spec.seed, 1)
     z = _balanced_labels(spec.n, rng)
     L = np.linalg.cholesky(_tridiag(spec.r, spec.rho))
     X = np.empty((spec.n, spec.d))
@@ -231,7 +231,7 @@ def gen_mixed(spec: ScenarioSpec):
     if delta >= 3.0:
         raise NonPositiveRate("count rate 3 - delta must stay positive")
     par = _mixed_margins(delta)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[spec.seed, 2]))
+    rng = seeded_rng(spec.seed, 2)
     z = _balanced_labels(spec.n, rng)
     k = z - 1
     n, d = spec.n, spec.d
@@ -278,7 +278,7 @@ def inject_mcar(dataset: Dataset, rate: float, seed: int) -> Dataset:
         raise InvalidShape("rate must lie in [0, 1)")
     if rate == 0.0:
         return dataset
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 4]))
+    rng = seeded_rng(seed, 4)
     keep = rng.random(dataset.X.shape) >= rate
     mask = dataset.mask & keep
     for j in range(dataset.d):

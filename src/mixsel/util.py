@@ -42,38 +42,17 @@ def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any], threads: int = 
         return list(pool.map(fn, items))
 
 
-def _render_json(obj: Any, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad_in}{json.dumps(str(k))}: {_render_json(v, indent, level + 1)}'
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj.tolist()) if isinstance(obj, np.ndarray) else list(obj)
-        if not seq:
-            return "[]"
-        items = [f"{pad_in}{_render_json(v, indent, level + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not np.isfinite(x):
-            raise ValueError(f"non-finite value in JSON output: {x!r}")
-        return f"{x:.17g}"
-    return json.dumps(obj)
+def _jsonable(obj: Any):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def dump_json(obj: Any, path: str) -> None:
-    """Write JSON with floats at 17 significant digits (round-trip exact)."""
+    """Write ``obj`` as JSON indented by 2, numpy arrays and scalars as their
+    Python values. Floats take Python's shortest round-trip form, so they read
+    back equal; a non-finite float raises ``ValueError``. The file is written
+    only once the whole text is built, so a failed dump leaves no file."""
+    text = json.dumps(obj, indent=2, allow_nan=False, default=_jsonable)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_render_json(obj, indent=2, level=0))
-        fh.write("\n")
-
+        fh.write(text + "\n")

@@ -156,3 +156,15 @@ def test_simulate_mixed_rejects_rho(tmp_path, capsys):
     assert code == 2
     assert "rho" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_ari_one_row_and_header_only_files(tmp_path, capsys):
+    one = tmp_path / "one.csv"
+    one.write_text("label\n1\n")
+    assert main(["ari", str(one), str(one)]) == 0
+    assert capsys.readouterr().out.strip() == "1.000000"
+    for text in ("label\n", "row,label,t_1\n"):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(text)
+        assert main(["ari", str(empty), str(empty)]) == 2
+        assert "no labels" in capsys.readouterr().err

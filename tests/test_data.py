@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixsel import (AllMissingColumn, Dataset, Hyperparameters, Model,
+from mixsel import (AllMissingColumn, DataError, Dataset, Hyperparameters, Model,
                     NegativeInteger, OutOfRangeCategorical, VariableKind,
                     observed_count, observed_count_in_class)
 from mixsel.io import infer_kind, read_csv, read_schema, write_csv, write_schema
@@ -171,3 +171,25 @@ def test_packed_centers_continuous_cells():
     assert p.shift[0] == 1e8 + 2.0
     assert list(p.Xc[:, 0]) == [-1.0, 0.0, 1.0]
     assert Hyperparameters.default(ds).cont_c[0] == 1e8 + 2.0
+
+
+def test_read_csv_error_names_the_file_line(tmp_path):
+    # comment and blank lines count: the short row is line 5 of the file
+    path = tmp_path / "d.csv"
+    path.write_text("# note\na,b\n1,2\n\n3\n")
+    with pytest.raises(DataError, match=r"d\.csv:5: expected 2 fields, got 1"):
+        read_csv(str(path))
+    path.write_text("a,b\n1,2\n3\n")
+    with pytest.raises(DataError, match=r"d\.csv:3: expected 2 fields, got 1"):
+        read_csv(str(path))
+
+
+def test_read_csv_names_the_first_bad_cell_in_column_order(tmp_path):
+    path, schema = tmp_path / "d.csv", tmp_path / "d.schema"
+    path.write_text("a,b,c\n1,q,u\nz,2,w\n")
+    schema.write_text("a:int\nb:int\nc:cat:u|v\n")
+    with pytest.raises(DataError, match=r"cell \(2, 'a'\) = 'z' is not numeric"):
+        read_csv(str(path), schema=read_schema(str(schema)))
+    schema.write_text("a:cat:1|z\nb:cat:q|2\nc:cat:u|v\n")
+    with pytest.raises(DataError, match=r"cell \(2, 'c'\) = 'w' is not a declared level"):
+        read_csv(str(path), schema=read_schema(str(schema)))

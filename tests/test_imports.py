@@ -2,7 +2,10 @@
 exempt: its imports are the public API it re-exports. A stdlib ``ast`` check,
 since the project installs no linter."""
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -32,3 +35,13 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats doubles the import time and resident memory of the CLI
+    code = "import sys, mixsel.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -359,3 +359,8 @@ def test_blocked_partition_step_makes_the_sequential_moves(monkeypatch):
         reference = MiclState.from_partition(tables, model, z)
         _sequential_partition_step(reference, np.random.default_rng(trial))
         assert np.array_equal(blocked.z, reference.z), trial
+
+
+def test_micl_config_rejects_zero_starts():
+    with pytest.raises(ValueError):
+        MiclConfig(seed=1, n_starts=0)

@@ -9,6 +9,7 @@ from mixsel import (InvalidShape, LengthMismatch, NoRoot, ScenarioSpec, ari,
 from mixsel.simulate import (CONTINUOUS_TRIDIAG, MIXED_INDEP,
                              _mixed_bayes_error, _mixed_log_ratio, _mixed_margins,
                              _tridiag)
+from mixsel.util import seeded_rng
 
 
 def test_ari_reference_values():
@@ -163,3 +164,21 @@ def test_mixed_log_ratio_equals_axis_sums():
         want += (xi * np.log(lam2 / lam1) - (lam2 - lam1)).sum(axis=1)
         want += (xb * np.log(0.7 / 0.3) + (1 - xb) * np.log(0.3 / 0.7)).sum(axis=1)
         assert np.array_equal(_mixed_log_ratio(xc, xi, xb, delta), want)
+
+
+def test_ari_single_row_is_degenerate_agreement():
+    assert ari([1], [1]) == 1.0
+    assert ari([1], [2]) == 1.0
+
+
+def test_generator_streams_fold_negative_seeds_like_the_cli():
+    # nonnegative seeds keep the streams of the inline SeedSequence calls
+    for seed, tag in ((0, 1), (12345, 2), (2**64 - 1, 4)):
+        want = np.random.default_rng(np.random.SeedSequence(entropy=[seed, tag]))
+        assert np.array_equal(seeded_rng(seed, tag).random(8), want.random(8))
+    # a negative seed is folded to 64 bits instead of raising
+    for family, d in ((MIXED_INDEP, 12), (CONTINUOUS_TRIDIAG, 8)):
+        neg = generate(ScenarioSpec(family, n=40, d=d, missing_rate=0.1, seed=-1))
+        pos = generate(ScenarioSpec(family, n=40, d=d, missing_rate=0.1, seed=2**64 - 1))
+        assert np.array_equal(neg[0].X, pos[0].X, equal_nan=True)
+        assert np.array_equal(neg[1], pos[1])
