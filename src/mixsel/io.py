@@ -78,6 +78,11 @@ def read_csv(path: str, schema: dict | None = None):
     (_, header), *body = rows
     names = [c.strip() for c in header]
     d = len(names)
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise DataError(f"{path}: duplicate column name {name!r}")
+        seen.add(name)
     for line, row in body:
         if len(row) != d:
             raise DataError(f"{path}:{line}: expected {d} fields, got {len(row)}")
@@ -153,15 +158,20 @@ def read_partition(path: str) -> np.ndarray:
     """Hard labels from a partition file: either our partition.csv (a
     ``label`` column) or one label per line."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader
+                if row and not row[0].startswith("#")]
     if not rows:
         raise DataError(f"{path}: empty partition file")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in rows[0][1]]
     if "label" in header:
         col = header.index("label")
-        labels = [row[col] for row in rows[1:]]
+        for line, row in rows[1:]:
+            if len(row) <= col:
+                raise DataError(f"{path}:{line}: no label field (column {col + 1})")
+        labels = [row[col].strip() for _, row in rows[1:]]
     else:
-        labels = [row[0].strip() for row in rows]
+        labels = [row[0].strip() for _, row in rows]
         if labels[0].lower() in ("label", "labels"):
             labels = labels[1:]
     if not labels:

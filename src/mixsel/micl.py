@@ -25,6 +25,7 @@ would have seen, so the blocked sweep makes the same moves.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,13 +71,37 @@ def _phi_int(n, s, glg, a, b):
     return np.where(n > 0, val, 0.0)
 
 
-def _phi_cat(cnt, nobs, a, m, level_mask):
-    """Log marginal of one multinomial cell group: per-level counts ``cnt``
-    (last axis, padded), total ``nobs``."""
-    nobs = np.asarray(nobs, dtype=float)
+def _phi_cat(n, cnt, a, m, level_mask):
+    """Log marginal of one multinomial cell group: n observed values with
+    per-level counts ``cnt`` (last axis, padded)."""
+    n = np.asarray(n, dtype=float)
     lev = np.where(level_mask, gammaln(cnt + a[..., None]), 0.0).sum(axis=-1)
-    val = gammaln(m * a) - m * gammaln(a) + lev - gammaln(nobs + m * a)
-    return np.where(nobs > 0, val, 0.0)
+    val = gammaln(m * a) - m * gammaln(a) + lev - gammaln(n + m * a)
+    return np.where(n > 0, val, 0.0)
+
+
+def _refit(factor, S, moved, base, *hyp):
+    """A factor's change when one cell moves: the factor at the moved class
+    sums minus the cached ``base``."""
+    return factor(*moved, *hyp) - base
+
+
+def _phi_cat_change(factor, S, moved, base, a, m, level_mask):
+    """``_phi_cat``'s change when one cell moves, from the sums read at the
+    cell's level (count, count of that level): only their two terms change."""
+    (n, c), (n2, c2) = S, moved
+    return gammaln(c2 + a) - gammaln(c + a) - gammaln(n2 + m * a) + gammaln(n + m * a)
+
+
+def _at_rows(s, J, lev, R, a):
+    """Columns J of a class sum as rows R read them, for every class and for
+    each row's own class ``a``: (g, J) and (B, J), or for a level-count sum
+    (g, ·, m), at each row's level ``lev`` (rows by J), (B, g, J)."""
+    if s.ndim == 2:
+        s = s.take(J, axis=1)
+        return s, s[a]
+    at = s.reshape(len(s), -1).take(lev.take(R, axis=0) + J * s.shape[2], axis=1)
+    return at.transpose(1, 0, 2), at[a, np.arange(len(R))]
 
 
 def log_dirichlet_proportion_term(nk, u: float) -> float:
@@ -91,32 +116,41 @@ def log_dirichlet_proportion_term(nk, u: float) -> float:
 # dataset-level constant tables
 # ---------------------------------------------------------------------------
 
+Kind = namedtuple("Kind", "cols keys factor hyp change level", defaults=[_refit, None])
+
+
 class MarginalTables:
-    """Per-dataset constants used by the optimizer: the hyperparameter arrays
-    of the continuous (a, b, c, d) and integer (a, b) columns, and the global
-    (one-group) marginal of every column, which is what an irrelevant column
-    contributes for any partition. The prior mean ``c`` is shifted with
-    ``Packed``'s centered cells, which leaves every marginal unchanged."""
+    """Per-dataset constants used by the optimizer. ``kinds`` holds one
+    ``Kind`` per column kind: its dataset columns, the ``Packed.class_sums``
+    keys its factor reads (observed count first), the factor, the per-column
+    hyperparameters, the factor's change when one cell moves, and, for a kind
+    whose last class sum has a level axis, each cell's level. ``glob`` holds,
+    per kind, the global (one-group) marginal of every column, which is what
+    an irrelevant column contributes for any partition. The continuous prior
+    mean ``c`` is shifted with ``Packed``'s centered cells, which leaves every
+    marginal unchanged."""
 
     def __init__(self, dataset: Dataset, hyper: Hyperparameters):
         self.dataset = dataset
         self.hyper = hyper
         p = dataset.packed()
         self.packed = p
-        self.hyp_cont = (hyper.cont_a, hyper.cont_b, hyper.cont_c - p.shift, hyper.cont_d)
-        self.hyp_int = (hyper.int_a, hyper.int_b)
-        self.mq = p.m.astype(float)
+        gr = p.groups
+        kinds = (
+            Kind(gr.cont, ("Mc", "Xc", "Xc2"), _phi_cont,
+                 (hyper.cont_a, hyper.cont_b, hyper.cont_c - p.shift, hyper.cont_d)),
+            Kind(gr.integer, ("Mi", "Xi", "lgam"), _phi_int, (hyper.int_a, hyper.int_b)),
+            Kind(gr.cat, ("Mq", "onehot"), _phi_cat, (hyper.cat_a, p.m.astype(float), p.level_mask),
+                 _phi_cat_change, p.codes))
+        # a kind without columns would only add empty factor calls to each move
+        self.kinds = tuple(kind for kind in kinds if kind.cols.size)
         # the global marginal is the per-class factor of the one-class partition
-        self.global_cont, self.global_int, self.global_cat = (
-            phi[0] for phi in self.factors(p.class_sums(np.ones((p.n, 1)))))
+        self.glob = tuple(phi[0] for phi in self.factors(p.class_sums(np.ones((p.n, 1)))))
 
     def factors(self, st: dict) -> tuple:
-        """(g, ·) per-class factors of the continuous, integer and categorical
-        columns from the class sums ``st`` (see ``Packed.class_sums``)."""
-        return (_phi_cont(st["Mc"], st["Xc"], st["Xc2"], *self.hyp_cont),
-                _phi_int(st["Mi"], st["Xi"], st["lgam"], *self.hyp_int),
-                _phi_cat(st["onehot"], st["Mq"], self.hyper.cat_a, self.mq,
-                         self.packed.level_mask))
+        """Per kind, the (g, ·) per-class factors of its columns from the
+        class sums ``st`` (see ``Packed.class_sums``)."""
+        return tuple(k.factor(*(st[key] for key in k.keys), *k.hyp) for k in self.kinds)
 
 
 class MiclState:
@@ -124,12 +158,13 @@ class MiclState:
     cached per-column marginal factors, supporting O(1)-per-column single
     observation moves.
 
-    Continuous and integer columns share one move rule: per class an observed
-    count, a sum and a second sum (of squares, or of ln Gamma(x+1)), and a
-    closed-form factor of the three; categorical columns keep level counts.
-    ``candidate_values`` scores a block of rows against the frozen state in
-    one pass over the relevant columns, where a missing cell adds exactly 0;
-    ``apply_move`` then updates the statistics of the one row that moves.
+    Every column kind has one move rule: its factor is a closed-form function
+    of its class sums, so a row that joins class k is scored at k's sums plus
+    the row's entries and a row that leaves class a at a's sums minus them;
+    a level count is read at the row's level only. ``candidate_values``
+    scores a block of rows against the frozen state in one pass over the
+    relevant columns, where a missing cell adds exactly 0; ``apply_move``
+    then moves the one row's entries between two classes.
     """
 
     def __init__(self, tables: MarginalTables, model: Model, zi: np.ndarray):
@@ -139,23 +174,8 @@ class MiclState:
         p = tables.packed
         Z = np.zeros((p.n, model.g))
         Z[np.arange(p.n), self.zi] = 1.0
-        st = p.class_sums(Z)
-        self.nk = st["nk"]
-        self.cn, self.cS1, self.cS2 = st["Mc"], st["Xc"], st["Xc2"]
-        self.inn, self.iS, self.iG = st["Mi"], st["Xi"], st["lgam"]
-        self.catn, self.ccnt = st["Mq"], st["onehot"]
-        self.phic, self.phii, self.phiq = tables.factors(st)
-        # per kind: dataset columns, per-class factors, global factors
-        self._kinds = ((p.groups.cont, self.phic, tables.global_cont),
-                       (p.groups.integer, self.phii, tables.global_int),
-                       (p.groups.cat, self.phiq, tables.global_cat))
-        # per moment kind: count, sum, second sum, factors, the row mask and
-        # the cell values behind the three, the factor function and its
-        # hyperparameters
-        self._moments = ((self.cn, self.cS1, self.cS2, self.phic, p.Mc, p.Xc, p.Xc2,
-                          _phi_cont, tables.hyp_cont),
-                         (self.inn, self.iS, self.iG, self.phii, p.Mi, p.Xi, p.lgam,
-                          _phi_int, tables.hyp_int))
+        self.st = p.class_sums(Z)
+        self.phi = tables.factors(self.st)
         self._set_rel_masks()
         self.log_icl = self._value()
 
@@ -170,24 +190,23 @@ class MiclState:
         return self.zi + 1
 
     def _set_rel_masks(self):
-        """Per kind, the relevance of its columns (order of ``_kinds``), and
-        the relevant columns' cells that ``candidate_values`` reads: per
-        moment kind (positions, mask, values, hyperparameters), and for the
-        categorical columns (positions, mask, flat index of each cell's level
-        count, Dirichlet weight, level count)."""
-        self.rel = tuple(self.model.omega[cols] == 1 for cols, _, _ in self._kinds)
-        pos = [np.flatnonzero(r) for r in self.rel]
-        self._rel_cells = tuple(
-            (J, M[:, J], X1[:, J], X2[:, J], [v[J] for v in hyp])
-            for J, (*_, M, X1, X2, _fn, hyp) in zip(pos, self._moments))
-        p, J = self.tables.packed, pos[2]
-        flat = J * p.m_max + p.codes[:, J]
-        self._rel_cat = (J, p.Mq[:, J], flat, self.tables.hyper.cat_a[J],
-                         self.tables.mq[J])
+        """Per kind, the relevance of its columns, and what ``candidate_values``
+        reads of the relevant columns J: (J, each row's level in J or None,
+        the row's entry of each class sum the kind reads, hyperparameters).
+        A row's entry of a level-count sum is its one-hot at its own level."""
+        p = self.tables.packed
+        rows = np.arange(p.n)[:, None]
+        self.rel = tuple(self.model.omega[k.cols] == 1 for k in self.tables.kinds)
+        self._rel_cells = []
+        for kind, J in zip(self.tables.kinds, map(np.flatnonzero, self.rel)):
+            lev = None if kind.level is None else kind.level[:, J]
+            cells = [getattr(p, key) for key in kind.keys]
+            cells = [c[:, J] if c.ndim == 2 else c[rows, J, lev] for c in cells]
+            self._rel_cells.append((J, lev, cells, [v[J] for v in kind.hyp]))
 
     def _value(self) -> float:
-        total = log_dirichlet_proportion_term(self.nk, self.tables.hyper.u)
-        for (_, phi, glob), rel in zip(self._kinds, self.rel):
+        total = log_dirichlet_proportion_term(self.st["nk"], self.tables.hyper.u)
+        for rel, phi, glob in zip(self.rel, self.phi, self.tables.glob):
             total += float(np.where(rel, phi.sum(0), glob).sum())
         return total
 
@@ -206,76 +225,46 @@ class MiclState:
         One pass over the block: per kind, the (B, g, J) "up" factors (the
         row joins class k) and the (B, J) "down" factors (it leaves its own
         class) over the J relevant columns; a missing cell adds exactly 0."""
-        h = self.tables.hyper
+        nk, u = self.st["nk"], self.tables.hyper.u
         R = np.atleast_1d(rows)
         idx = np.arange(len(R))
         a = self.zi[R]
-        vals = np.log(self.nk + h.u) - np.log(self.nk[a] - 1.0 + h.u)[:, None]
+        vals = np.log(nk + u) - np.log(nk[a] - 1.0 + u)[:, None]
         rem = np.zeros(len(R))
-        for (cn, s1, s2, phi, *_, fn, _), (J, M, X1, X2, hj) in zip(self._moments,
-                                                                    self._rel_cells):
+        for kind, phi, (J, lev, cells, hj) in zip(self.tables.kinds, self.phi, self._rel_cells):
             if J.size:
-                m, x, x2 = M.take(R, axis=0), X1.take(R, axis=0), X2.take(R, axis=0)
-                obs = m > 0
-                cJ, t1, t2 = cn.take(J, axis=1), s1.take(J, axis=1), s2.take(J, axis=1)
+                x = [c.take(R, axis=0) for c in cells]
+                obs = x[0] > 0
+                Sk, Sa = zip(*(_at_rows(self.st[key], J, lev, R, a) for key in kind.keys))
                 base = phi.take(J, axis=1)
-                up = fn(cJ + 1.0, t1 + x[:, None, :], t2 + x2[:, None, :], *hj)
-                vals += np.where(obs[:, None, :], up - base, 0.0).sum(axis=2)
-                down = fn(cJ[a] - m, t1[a] - x, t2[a] - x2, *hj)
-                rem += np.where(obs, down - base[a], 0.0).sum(axis=1)
-        J, M, flat, aq, mq = self._rel_cat
-        if J.size:
-            m = M.take(R, axis=0)
-            obs = m > 0
-            # (B, g, J): per class, the count of each cell's level
-            cnt = self.ccnt.reshape(self.model.g, -1)[:, flat.take(R, axis=0)]
-            cnt = cnt.transpose(1, 0, 2)
-            N = self.catn.take(J, axis=1)
-            up = (gammaln(cnt + 1.0 + aq) - gammaln(cnt + aq)
-                  - gammaln(N + 1.0 + mq * aq) + gammaln(N + mq * aq))
-            vals += np.where(obs[:, None, :], up, 0.0).sum(axis=2)
-            ca, Na = cnt[idx, a], N[a]
-            down = (gammaln(ca - m + aq) - gammaln(ca + aq)
-                    - gammaln(Na - m + mq * aq) + gammaln(Na + mq * aq))
-            rem += np.where(obs, down, 0.0).sum(axis=1)
+                # the count gains 1 whether or not the cell is observed: an
+                # unobserved cell's term is dropped below
+                moved = (Sk[0] + 1.0, *(s + xr[:, None] for s, xr in zip(Sk[1:], x[1:])))
+                up = kind.change(kind.factor, Sk, moved, base, *hj)
+                vals += np.where(obs[:, None, :], up, 0.0).sum(axis=2)
+                moved = [s - xr for s, xr in zip(Sa, x)]
+                down = kind.change(kind.factor, Sa, moved, base[a], *hj)
+                rem += np.where(obs, down, 0.0).sum(axis=1)
         vals = self.log_icl + vals + rem[:, None]
         vals[idx, a] = self.log_icl
         return vals if np.ndim(rows) else vals[0]
 
     def apply_move(self, i: int, k: int, new_value: float | None = None) -> None:
         """Reassign observation i to component k (0-based) and update the
-        statistics, the per-column factors and the cached objective."""
+        class sums, the two classes' factors and the cached objective."""
         a = self.zi[i]
         if k == a:
             return
         if new_value is None:
             new_value = float(self.candidate_values(i)[k])
-        p, h = self.tables.packed, self.tables.hyper
-        for cn, s1, s2, phi, M, X1, X2, fn, hyp in self._moments:
-            o = np.flatnonzero(M[i])
-            if o.size:
-                x, x2 = X1[i][o], X2[i][o]
-                for cls, sgn in ((a, -1.0), (k, 1.0)):
-                    cn[cls][o] += sgn
-                    s1[cls][o] += sgn * x
-                    s2[cls][o] += sgn * x2
-                hj = [v[o] for v in hyp]
-                for cls in (a, k):
-                    phi[cls][o] = fn(cn[cls][o], s1[cls][o], s2[cls][o], *hj)
-        oq = np.flatnonzero(p.Mq[i])
-        if oq.size:
-            code = p.codes[i, oq]
-            self.ccnt[a, oq, code] -= 1.0
-            self.ccnt[k, oq, code] += 1.0
-            self.catn[a, oq] -= 1.0
-            self.catn[k, oq] += 1.0
-            aq, mq = h.cat_a[oq], self.tables.mq[oq]
-            lm = p.level_mask[oq]
-            for cls in (a, k):
-                self.phiq[cls, oq] = _phi_cat(self.ccnt[cls, oq, :], self.catn[cls, oq],
-                                              aq, mq, lm)
-        self.nk[a] -= 1.0
-        self.nk[k] += 1.0
+        p = self.tables.packed
+        for key, S in self.st.items():
+            x = 1.0 if key == "nk" else getattr(p, key)[i]
+            S[a] -= x
+            S[k] += x
+        new = self.tables.factors({key: S[[a, k]] for key, S in self.st.items()})
+        for phi, two in zip(self.phi, new):
+            phi[[a, k]] = two
         self.zi[i] = k
         self.log_icl = new_value
 
@@ -286,8 +275,8 @@ class MiclState:
         (strict inequality keeps a column relevant; ties drop it). Returns
         True when omega changed."""
         omega = np.zeros(self.tables.packed.d, dtype=np.int8)
-        for cols, phi, glob in self._kinds:
-            omega[cols] = phi.sum(0) > glob
+        for kind, phi, glob in zip(self.tables.kinds, self.phi, self.tables.glob):
+            omega[kind.cols] = phi.sum(0) > glob
         changed = bool((omega != self.model.omega).any())
         self.model = Model(self.model.g, omega)
         self._set_rel_masks()
@@ -306,8 +295,8 @@ def log_marginal_variable(dataset: Dataset, j: int, z, g: int, omega_j: int,
     it is not. Only observed cells enter the statistics."""
     model = Model(g, np.full(dataset.d, omega_j, dtype=np.int8))
     state = MiclState.from_partition(MarginalTables(dataset, hyper), model, z)
-    for cols, phi, glob in state._kinds:
-        pos = np.flatnonzero(cols == j)
+    for kind, phi, glob in zip(state.tables.kinds, state.phi, state.tables.glob):
+        pos = np.flatnonzero(kind.cols == j)
         if pos.size:
             return float(phi[:, pos[0]].sum() if omega_j else glob[pos[0]])
     raise IndexError(f"column {j} out of range")

@@ -168,3 +168,26 @@ def test_ari_one_row_and_header_only_files(tmp_path, capsys):
         empty.write_text(text)
         assert main(["ari", str(empty), str(empty)]) == 2
         assert "no labels" in capsys.readouterr().err
+    # a label header over a row too short to hold the label names the line
+    empty.write_text("row,label\n3\n")
+    assert main(["ari", str(empty), str(empty)]) == 2
+    assert "empty.csv:2: no label field" in capsys.readouterr().err
+
+
+def test_simulate_unreachable_target_error_exits_one(tmp_path, capsys):
+    # a Bayes error of 0.45 lies above the error at zero separation
+    code = main(["simulate", "--family", "mixed", "--n", "20", "--d", "6",
+                 "--target-error", "0.45", "--replicates", "1", "--seed", "1",
+                 "--out", str(tmp_path / "sim")])
+    assert code == 1
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("criterion", ["bic", "micl"])
+def test_cluster_more_components_than_rows_exits_one(tmp_path, capsys, criterion):
+    data = tmp_path / "three.csv"
+    data.write_text("x,k\n0.5,1\n1.5,2\n2.5,4\n")
+    code = main(["cluster", str(data), "--criterion", criterion, "--gmax", "5",
+                 "--starts", "2", "--seed", "1", "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert "numerical failure" in capsys.readouterr().err

@@ -193,3 +193,14 @@ def test_read_csv_names_the_first_bad_cell_in_column_order(tmp_path):
     schema.write_text("a:cat:1|z\nb:cat:q|2\nc:cat:u|v\n")
     with pytest.raises(DataError, match=r"cell \(2, 'c'\) = 'w' is not a declared level"):
         read_csv(str(path), schema=read_schema(str(schema)))
+
+
+def test_read_csv_rejects_duplicate_column_names(tmp_path):
+    # the manifest is keyed by name, so a repeated name would hide a column
+    path = tmp_path / "d.csv"
+    path.write_text("a,a,b\n1.5,x,1\n2.5,y,2\n")
+    with pytest.raises(DataError, match=r"d\.csv: duplicate column name 'a'"):
+        read_csv(str(path))
+    path.write_text("a, b,b\n1.5,x,1\n2.5,y,2\n")  # names are compared stripped
+    with pytest.raises(DataError, match="duplicate column name 'b'"):
+        read_csv(str(path))

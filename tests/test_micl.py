@@ -206,11 +206,13 @@ def test_incremental_statistics_match_recomputation():
         state.apply_move(i, k)
     assert state.log_icl == pytest.approx(state.recomputed_value(), abs=1e-8)
     fresh = MiclState(tables, state.model, state.zi)
-    assert np.allclose(state.cn, fresh.cn)
-    assert np.allclose(state.cS1, fresh.cS1, atol=1e-9)
-    assert np.allclose(state.cS2, fresh.cS2, atol=1e-9)
-    assert np.allclose(state.ccnt, fresh.ccnt)
-    assert np.allclose(state.phic, fresh.phic, atol=1e-9)
+    assert state.st.keys() == fresh.st.keys()
+    for key in ("nk", "Mc", "Mi", "Mq", "onehot"):  # counts
+        assert np.allclose(state.st[key], fresh.st[key]), key
+    for key in ("Xc", "Xc2", "Xi", "lgam"):  # sums
+        assert np.allclose(state.st[key], fresh.st[key], atol=1e-9), key
+    for phi, want in zip(state.phi, fresh.phi, strict=True):
+        assert np.allclose(phi, want, atol=1e-9)
 
 
 def test_run_micl_single_component():
@@ -327,6 +329,29 @@ def test_blocked_candidate_values_equal_rebuilt_states():
             assert block[b, k] == pytest.approx(want, rel=0, abs=1e-9), (i, k)
 
 
+def test_candidate_values_with_many_levels_equal_rebuilt_states():
+    """Level counts are read at each row's level: columns of 3, 12 and 50
+    levels (so most levels of the narrow columns are padding) score as
+    rebuilt states do."""
+    rng = np.random.default_rng(23)
+    n, g = 40, 3
+    X = np.column_stack([rng.normal(size=n), rng.integers(1, 4, n),
+                         rng.integers(1, 13, n), rng.integers(1, 51, n)]).astype(float)
+    X[rng.random(X.shape) < 0.2] = np.nan
+    ds = Dataset(X, [CONT] + [VariableKind.categorical(m) for m in (3, 12, 50)])
+    tables = MarginalTables(ds, Hyperparameters.default(ds))
+    state = MiclState.from_partition(tables, Model(g, [1, 1, 1, 1]), rng.integers(1, g + 1, n))
+    for _ in range(100):
+        state.apply_move(int(rng.integers(n)), int(rng.integers(g)))
+    block = state.candidate_values(np.arange(n))
+    for i in range(n):
+        for k in range(g):
+            zi = state.zi.copy()
+            zi[i] = k
+            want = MiclState(tables, state.model, zi).log_icl
+            assert block[i, k] == pytest.approx(want, rel=0, abs=1e-9), (i, k)
+
+
 def _sequential_partition_step(state, rng):
     """Row-by-row greedy sweep: the reference the blocked sweep must match."""
     n = state.tables.packed.n
@@ -364,3 +389,32 @@ def test_blocked_partition_step_makes_the_sequential_moves(monkeypatch):
 def test_micl_config_rejects_zero_starts():
     with pytest.raises(ValueError):
         MiclConfig(seed=1, n_starts=0)
+
+
+def test_all_missing_rows_change_only_the_class_sizes():
+    ds = _wide_mixed_dataset(21, 30, 0.2)
+    mask = ds.mask.copy()
+    mask[[3, 7]] = False
+    ds = ds.replace_mask(mask)
+    h = Hyperparameters.default(ds)
+    g = 3
+    rng = np.random.default_rng(22)
+    state = MiclState.from_partition(MarginalTables(ds, h), Model(g, np.ones(ds.d)),
+                                     rng.integers(1, g + 1, ds.n))
+    for i in (3, 7):
+        a = int(state.zi[i])
+        nk = state.st["nk"]
+        # every cell of the row is missing, so only the proportion term moves
+        want = state.log_icl + (np.log(nk + h.u) - np.log(nk[a] - 1.0 + h.u))
+        want[a] = state.log_icl
+        assert np.array_equal(state.candidate_values(i), want)
+        k = (a + 1) % g
+        sums = {key: s.copy() for key, s in state.st.items()}
+        phi = [f.copy() for f in state.phi]
+        state.apply_move(i, k)
+        sums["nk"][[a, k]] += (-1.0, 1.0)
+        for key, s in state.st.items():
+            assert np.array_equal(s, sums[key]), key
+        for f, f0 in zip(state.phi, phi, strict=True):
+            assert np.array_equal(f, f0)
+        assert state.log_icl == pytest.approx(state.recomputed_value(), abs=1e-9)
