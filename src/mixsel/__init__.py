@@ -23,9 +23,9 @@ from .criteria import (CRITERIA, SelectionReport, aic, bic, count_params,
 from .micl import (MarginalTables, MiclConfig, MiclState,
                    log_dirichlet_proportion_term, log_integrated_complete,
                    log_marginal_variable, model_step, partition_step, run_micl)
-from .simulate import (InvalidShape, LengthMismatch, NoRoot, NonPositiveRate,
-                       ScenarioSpec, ari, calibrate_delta, gen_continuous,
-                       gen_mixed, generate, inject_mcar)
+from .simulate import (InvalidShape, LengthMismatch, NoRoot, ScenarioSpec, ari,
+                       calibrate_delta, gen_continuous, gen_mixed, generate,
+                       inject_mcar)
 from .campaign import run_campaign, summarize
 from .io import read_csv, read_partition, read_schema, write_csv, write_schema
 

@@ -19,7 +19,7 @@ from .data import DataError, Hyperparameters
 from .em import EmConfig, EmError
 from .io import read_csv, read_partition, read_schema
 from .simulate import (CONTINUOUS_TRIDIAG, MIXED_INDEP, InvalidShape,
-                       LengthMismatch, NoRoot, NonPositiveRate, ScenarioSpec, ari)
+                       LengthMismatch, NoRoot, ScenarioSpec, ari)
 from .campaign import run_campaign
 from .util import dump_json
 
@@ -218,7 +218,7 @@ def main(argv=None) -> int:
     except (DataError, LengthMismatch, InvalidShape, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EmError, NoRoot, NonPositiveRate, FloatingPointError, ValueError) as exc:
+    except (EmError, NoRoot, FloatingPointError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

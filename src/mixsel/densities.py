@@ -52,8 +52,13 @@ def floor_probs(counts: np.ndarray, level_mask: np.ndarray | None = None) -> np.
 
 
 def normal_logpdf(x, mu, sigma):
-    z = (x - mu) / sigma
-    return -0.5 * z * z - np.log(sigma) - 0.5 * LOG_2PI
+    z = np.subtract(x, mu)  # one buffer; the rounding of -0.5 z z - ln s - ln(2 pi)/2
+    z /= sigma
+    z *= z
+    z *= -0.5
+    z -= np.log(sigma)
+    z -= 0.5 * LOG_2PI
+    return z
 
 
 def poisson_logpmf(x, rate):

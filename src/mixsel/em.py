@@ -90,7 +90,8 @@ class EmResult:
 def _cont_logdens(packed: Packed, mu, sigma) -> np.ndarray:
     """(g, n, n_cont) Gaussian log-densities, class k at (mu[k], sigma[k]);
     masked cells are 0."""
-    return dens.normal_logpdf(packed.Xc, mu[:, None, :], sigma[:, None, :]) * packed.Mc
+    L = dens.normal_logpdf(packed.Xc, mu[:, None, :], sigma[:, None, :])
+    return np.multiply(L, packed.Mc, out=L)
 
 
 def _log_component_matrix(packed: Packed, theta: Parameters, Lc: np.ndarray):
@@ -252,7 +253,7 @@ def _m_kernel(packed: Packed, t: np.ndarray, omega, floor: bool,
     theta = _assemble_theta(packed, tau, omega, mu, sigma, rate, probs)
     if Lc is not None:
         # reuse the Delta's per-class matrices; shared columns take the one-class one
-        Lc = np.where(omega[packed.groups.cont] == 0, shared.Lc, Lc)
+        np.copyto(Lc, shared.Lc, where=omega[packed.groups.cont] == 0)
     return theta, omega, delta, Lc
 
 

@@ -6,18 +6,15 @@ MCAR masking."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import gammaln, ndtr, ndtri
 
 from .data import Dataset, Model, VariableKind
 from .util import derive_seed, seeded_rng
 
 CONTINUOUS_TRIDIAG = "continuous-tridiag"
 MIXED_INDEP = "mixed-indep"
-
-_CALIBRATION_SEED = 0x5EEDCA1
 
 
 class LengthMismatch(ValueError):
@@ -29,10 +26,6 @@ class NoRoot(ValueError):
 
 
 class InvalidShape(ValueError):
-    pass
-
-
-class NonPositiveRate(ValueError):
     pass
 
 
@@ -113,26 +106,21 @@ def _tridiag(r: int, rho: float) -> np.ndarray:
     return S
 
 
-def _pair_sum(t):
-    """Row sums of an (n, 2) array: the rounding of ``t.sum(axis=1)``
-    without the cost of a length-2 reduction."""
-    return t[:, 0] + t[:, 1]
-
-
 def _mixed_log_ratio(xc, xi, xb, delta):
     """Log density ratio (component 2 over component 1) of the six separating
     margins of the mixed design."""
     lam1, lam2 = 3.0 - delta, 3.0 + delta
     log_lam, dlam = np.log(lam2 / lam1), lam2 - lam1
     log_hi, log_lo = np.log(0.7 / 0.3), np.log(0.3 / 0.7)
-    lr = _pair_sum(2.0 * delta * xc)
-    lr += _pair_sum(xi * log_lam - dlam)
-    lr += _pair_sum(xb * log_hi + (1 - xb) * log_lo)
+    lr = (2.0 * delta * xc).sum(axis=1)
+    lr += (xi * log_lam - dlam).sum(axis=1)
+    lr += (xb * log_hi + (1 - xb) * log_lo).sum(axis=1)
     return lr
 
 
 def _mixed_bayes_error(delta: float, n_draws: int, seed: int) -> float:
-    """Monte-Carlo Bayes risk of the two-component mixed design."""
+    """Monte-Carlo Bayes risk of the two-component mixed design: the
+    reference against which ``_mixed_bayes_risk`` is tested."""
     rng = seeded_rng(seed)
     half = n_draws // 2
     lam1, lam2 = 3.0 - delta, 3.0 + delta
@@ -147,39 +135,44 @@ def _mixed_bayes_error(delta: float, n_draws: int, seed: int) -> float:
     return 0.5 * float(err1 + err2)
 
 
+def _mixed_bayes_risk(delta: float) -> float:
+    """Exact Bayes risk of the mixed design. Under component k the log ratio
+    (2 over 1) of its six separating margins is (m2 - m1) S_c + c(S_i, S_b)
+    with S_c ~ N(2 m_k, 2), S_i ~ Poisson(2 lam_k) (80 terms: 2 lam <= 12)
+    and S_b ~ Bin(2, p_k): a normal tail summed over (S_i, S_b)."""
+    par = _mixed_margins(delta)
+    (m1, m2), (l1, l2), (p1, p2) = par["mu"], par["lam"], par["p2"]
+    s_i, s_b = np.arange(80.0)[:, None], np.arange(3.0)
+    c = (s_i * np.log(l2 / l1) - 2.0 * (l2 - l1) - (m2 * m2 - m1 * m1)
+         + s_b * np.log(p2 / p1) + (2.0 - s_b) * np.log((1.0 - p2) / (1.0 - p1)))
+    risk = 0.0
+    for sign, m, lam, p in ((1.0, m1, l1, p1), (-1.0, m2, l2, p2)):
+        pmf = (np.exp(s_i * np.log(2.0 * lam) - 2.0 * lam - gammaln(s_i + 1.0))
+               * np.array([(1.0 - p) ** 2, 2.0 * p * (1.0 - p), p * p]))
+        tail = ndtr(sign * (c + 2.0 * m * (m2 - m1)) / (np.sqrt(2.0) * (m2 - m1)))
+        risk += 0.5 * float((pmf * tail).sum())
+    return risk
+
+
 def calibrate_delta(spec: ScenarioSpec) -> float:
     """Overlap knob giving the spec's target Bayes misclassification rate.
 
     Continuous family: closed form from the Mahalanobis separation of the two
-    centers. Mixed family: Monte-Carlo risk (1e6 draws) plus bisection to
-    |error - target| < 0.002; unreachable targets raise NoRoot.
+    centers. Mixed family: bisection of the exact risk, which falls with
+    delta, on (0, 3), where the count rate 3 - delta stays positive; a target
+    outside the risk's range there raises NoRoot.
     """
     if spec.family == CONTINUOUS_TRIDIAG:
         q = float(np.ones(spec.r) @ np.linalg.solve(_tridiag(spec.r, spec.rho),
                                                     np.ones(spec.r)))
         return float(ndtri(1.0 - spec.target_error) / np.sqrt(q))
-    return _calibrate_mixed(round(spec.target_error, 9))
-
-
-@lru_cache(maxsize=None)
-def _calibrate_mixed(target: float) -> float:
     lo, hi = 1e-9, 3.0 - 1e-9
-    n_draws = 1_000_000
-    seed = derive_seed(_CALIBRATION_SEED, int(round(target * 1e9)))
-    if _mixed_bayes_error(hi, n_draws, seed) > target + 0.002:
-        raise NoRoot("target below the reachable error range")
-    if _mixed_bayes_error(lo, n_draws, seed) < target - 0.002:
-        raise NoRoot("target above the error at zero separation")
-    for _ in range(60):
+    if not _mixed_bayes_risk(hi) <= spec.target_error <= _mixed_bayes_risk(lo):
+        raise NoRoot("target outside the reachable error range")
+    for _ in range(64):
         mid = 0.5 * (lo + hi)
-        err = _mixed_bayes_error(mid, n_draws, seed)
-        if abs(err - target) < 0.002:
-            return mid
-        if err > target:
-            lo = mid
-        else:
-            hi = mid
-    raise NoRoot("bisection failed to reach the target error")
+        lo, hi = (mid, hi) if _mixed_bayes_risk(mid) > spec.target_error else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def _balanced_labels(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -227,10 +220,7 @@ def gen_mixed(spec: ScenarioSpec):
     columns of each kind. Returns (Dataset, true labels, true Model)."""
     if spec.family != MIXED_INDEP:
         raise InvalidShape("spec is not a mixed design")
-    delta = calibrate_delta(spec)
-    if delta >= 3.0:
-        raise NonPositiveRate("count rate 3 - delta must stay positive")
-    par = _mixed_margins(delta)
+    par = _mixed_margins(calibrate_delta(spec))
     rng = seeded_rng(spec.seed, 2)
     z = _balanced_labels(spec.n, rng)
     k = z - 1
@@ -254,12 +244,10 @@ def gen_mixed(spec: ScenarioSpec):
              + [VariableKind.continuous()] * n_noise
              + [VariableKind.integer()] * n_noise
              + [VariableKind.categorical(2)] * n_noise)
-    cat_cols = [j for j, kd in enumerate(kinds) if kd.tag == "cat"]
-    labels = {j: ["a", "b"] for j in cat_cols}
+    labels = {j: ["a", "b"] for j, kd in enumerate(kinds) if kd.tag == "cat"}
     omega = np.zeros(d, dtype=np.int8)
     omega[:6] = 1
-    ds = Dataset(X, kinds, cat_labels=labels)
-    return ds, z, Model(2, omega)
+    return Dataset(X, kinds, cat_labels=labels), z, Model(2, omega)
 
 
 def generate(spec: ScenarioSpec):

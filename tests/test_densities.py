@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from mixsel import (Dataset, EmptyWeight, UnsupportedValue, VariableKind,
-                    column_loglik, log_density, weighted_mle)
+                    column_loglik, em, log_density, weighted_mle)
+from mixsel.densities import LOG_2PI, SIGMA_FLOOR, normal_logpdf
+from mixsel.simulate import MIXED_INDEP, ScenarioSpec, generate
 
 CONT = VariableKind.continuous()
 INT = VariableKind.integer()
@@ -99,3 +101,55 @@ def test_column_loglik_additivity():
     assert column_loglik(ds, 0, [1], blk) == 0.0
     both = column_loglik(ds, 0, [0, 1, 2], blk)
     assert both == pytest.approx(single + log_density(2.0, CONT, blk))
+
+
+def _textbook_logpdf(x, mu, sigma):
+    z = (x - mu) / sigma
+    return -0.5 * z * z - np.log(sigma) - 0.5 * LOG_2PI
+
+
+def test_normal_logpdf_one_buffer_is_bit_identical():
+    rng = np.random.default_rng(17)
+    g, n, c = 3, 50, 4
+    x = rng.normal(size=(n, c)) * 1e3
+    mu = rng.normal(size=(g, 1, c))
+    sigma = rng.uniform(0.1, 5.0, size=(g, 1, c))
+    sigma[1, 0, 2] = SIGMA_FLOOR
+    x[7, 2] = mu[1, 0, 2]  # a cell exactly at a floored mean
+    got = normal_logpdf(x, mu, sigma)
+    assert got.shape == (g, n, c)
+    assert np.array_equal(got, _textbook_logpdf(x, mu, sigma))
+    for value, m, s in ((0.3, -1.2, 0.7), (2.5, 2.5, SIGMA_FLOOR), (1e8, 0.0, 1.0)):
+        assert float(normal_logpdf(value, m, s)) == float(_textbook_logpdf(value, m, s))
+
+
+def _mixed_set():
+    ds, z, _ = generate(ScenarioSpec(MIXED_INDEP, n=80, d=12, target_error=0.05,
+                                     missing_rate=0.2, seed=4))
+    return ds.packed(), z
+
+
+def test_cont_logdens_leaves_the_cells_alone():
+    packed, _ = _mixed_set()
+    before = packed.Xc.copy()
+    mu1, sigma1, _, _ = packed.one_class.blocks
+    mu = mu1 + np.array([[-0.5], [0.0], [0.5]])
+    sigma = sigma1 * np.array([[0.5], [1.0], [2.0]])
+    got = em._cont_logdens(packed, mu, sigma)
+    assert np.array_equal(packed.Xc, before)
+    want = _textbook_logpdf(packed.Xc, mu[:, None, :], sigma[:, None, :]) * packed.Mc
+    assert np.array_equal(got, want)
+
+
+def test_m_kernel_swaps_in_the_shared_cells_like_where():
+    packed, z = _mixed_set()
+    t = np.full((packed.n, 2), 0.1)
+    t[np.arange(packed.n), z - 1] = 0.9
+    _, omega, _, Lc = em._m_kernel(packed, t, None, True, True,
+                                   penalty_c=0.5 * np.log(packed.n))
+    shared = omega[packed.groups.cont] == 0
+    assert shared.any() and not shared.all()
+    mu, sigma, _, _ = em._install(*em._per_class_blocks(packed, packed.class_sums(t)),
+                                  packed.one_class.blocks)
+    want = np.where(shared, packed.one_class.Lc, em._cont_logdens(packed, mu, sigma))
+    assert np.array_equal(Lc, want)

@@ -7,8 +7,8 @@ from mixsel import (InvalidShape, LengthMismatch, NoRoot, ScenarioSpec, ari,
                     calibrate_delta, gen_continuous, gen_mixed, generate,
                     inject_mcar)
 from mixsel.simulate import (CONTINUOUS_TRIDIAG, MIXED_INDEP,
-                             _mixed_bayes_error, _mixed_log_ratio, _mixed_margins,
-                             _tridiag)
+                             _mixed_bayes_error, _mixed_bayes_risk, _mixed_log_ratio,
+                             _mixed_margins, _tridiag)
 from mixsel.util import seeded_rng
 
 
@@ -182,3 +182,29 @@ def test_generator_streams_fold_negative_seeds_like_the_cli():
         pos = generate(ScenarioSpec(family, n=40, d=d, missing_rate=0.1, seed=2**64 - 1))
         assert np.array_equal(neg[0].X, pos[0].X, equal_nan=True)
         assert np.array_equal(neg[1], pos[1])
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.7, 1.0, 1.4, 2.0])
+def test_exact_mixed_risk_matches_monte_carlo(delta):
+    exact = _mixed_bayes_risk(delta)
+    n_draws = 1_000_000
+    se = np.sqrt(exact * (1.0 - exact) / n_draws)
+    assert abs(_mixed_bayes_error(delta, n_draws, seed=2024) - exact) < 4.0 * se
+
+
+@pytest.mark.parametrize("target, want", [(0.01, 1.3679628), (0.02, 1.1979153),
+                                          (0.05, 0.9365441), (0.10, 0.6936620),
+                                          (0.20, 0.3585579)])
+def test_calibrate_delta_mixed_meets_target_exactly(target, want):
+    delta = calibrate_delta(ScenarioSpec(MIXED_INDEP, target_error=target, d=12))
+    assert _mixed_bayes_risk(delta) == pytest.approx(target, abs=1e-9)
+    assert delta == pytest.approx(want, abs=1e-6)
+
+
+def test_calibrate_delta_mixed_is_pure():
+    import mixsel.simulate
+    spec = ScenarioSpec(MIXED_INDEP, target_error=0.05, d=12)
+    assert calibrate_delta(spec) == calibrate_delta(spec)
+    cached = [name for name, obj in vars(mixsel.simulate).items()
+              if hasattr(obj, "cache_clear")]
+    assert cached == []
