@@ -347,38 +347,42 @@ class Hyperparameters:
 class Packed:
     """Dense per-kind views of a dataset, shared read-only by the engines.
 
-    Missing cells are stored as 0 in the value matrices and excluded through
-    the 0/1 mask matrices, so masked sums are plain matrix products. Continuous
-    cells are centered on their observed column mean (``shift``), so variances
-    do not cancel at any location. ``one_class`` is ``em.one_class_fit``.
+    One C-ordered (D, n) block ``cells`` holds every cell, n the inner axis;
+    each of ``BLOCKS`` is a (columns, n) row slice of it (``onehot``:
+    (n_cat, m_max, n)). Missing cells are 0 in the value rows and excluded
+    through the 0/1 mask rows, so masked sums are plain matrix products.
+    Continuous cells are centered on their observed column mean (``shift``),
+    so variances do not cancel at any location. ``one_class`` is
+    ``em.one_class_fit``.
     """
+
+    BLOCKS = ("Mc", "Xc", "Xc2", "Mi", "Xi", "lgam", "Mq", "onehot")
 
     def __init__(self, ds: Dataset):
         gr = ds.groups
         self.n, self.d = ds.n, ds.d
         self.groups = gr
-        X, M = ds.X, ds.mask
-
-        def pack(cols):
-            sub = X[:, cols]
-            msk = M[:, cols].astype(float)
-            return np.where(M[:, cols], sub, 0.0), msk
-
-        Xc, self.Mc = pack(gr.cont)
-        self.shift = Xc.sum(axis=0) / self.Mc.sum(axis=0)  # observed column means
-        self.Xc = np.where(self.Mc > 0, Xc - self.shift, 0.0)
-        self.Xc2 = self.Xc * self.Xc
-        self.Xi, self.Mi = pack(gr.integer)
-        self.lgam = gammaln(self.Xi + 1.0) * self.Mi
-        Xq, self.Mq = pack(gr.cat)
-        self.codes = np.where(M[:, gr.cat], Xq, 1.0).astype(np.intp) - 1
+        XT, MT = ds.X.T, ds.mask.T
         self.m = gr.cat_levels
         self.m_max = int(self.m.max()) if gr.n_cat else 0
+        rows = [gr.n_cont] * 3 + [gr.n_int] * 3 + [gr.n_cat, gr.n_cat * self.m_max]
+        self._bounds = np.cumsum(rows)[:-1]
+        self.cells = np.zeros((sum(rows), self.n))
+        for name, block in zip(self.BLOCKS, np.split(self.cells, self._bounds)):
+            setattr(self, name, block)
+        self.onehot = self.onehot.reshape(gr.n_cat, self.m_max, self.n)
+        self.Mc[:], self.Mi[:], self.Mq[:] = MT[gr.cont], MT[gr.integer], MT[gr.cat]
+        Xc = np.where(MT[gr.cont], XT[gr.cont], 0.0)
+        self.shift = Xc.sum(axis=1) / self.Mc.sum(axis=1)  # observed column means
+        np.subtract(Xc, self.shift[:, None], out=self.Xc, where=MT[gr.cont])
+        np.multiply(self.Xc, self.Xc, out=self.Xc2)
+        self.Xi[:] = np.where(MT[gr.integer], XT[gr.integer], 0.0)
+        np.multiply(gammaln(self.Xi + 1.0), self.Mi, out=self.lgam)
+        self.lgam_rows = self.lgam.sum(axis=0)  # per row, read by every E step
+        self.codes = np.where(MT[gr.cat], XT[gr.cat], 1.0).astype(np.intp) - 1
         levels = np.arange(self.m_max)
-        # one-hot (n, n_cat, m_max), zeroed on missing cells and padded levels;
-        # C order, which the broadcast would not keep (``codes`` is F-ordered)
-        self.onehot = ((self.codes[:, :, None] == levels)
-                       & (self.Mq[:, :, None] > 0)).astype(float, order="C")
+        # zero on missing cells and padded levels
+        self.onehot[:] = (self.codes[:, None] == levels[:, None]) & MT[gr.cat][:, None]
         self.level_mask = levels < self.m[:, None]
         self.kinds = ds.kinds
         self.nu = np.array([k.n_free_params for k in ds.kinds], dtype=float)  # per column
@@ -386,13 +390,12 @@ class Packed:
         self.one_class = one_class_fit(self)
 
     def class_sums(self, t: np.ndarray) -> dict:
-        """Per-class sums under the (n, g) weights ``t`` (responsibilities or
-        a 0/1 hard partition): ``nk`` the class sizes, and ``t.T @ M`` for
-        every packed matrix M, keyed by its attribute name; ``onehot`` gives
-        the (g, n_cat, m_max) level counts."""
-        tT = t.T
-        sums = {name: tT @ getattr(self, name)
-                for name in ("Mc", "Xc", "Xc2", "Mi", "Xi", "lgam", "Mq")}
-        sums["nk"] = t.sum(axis=0)
-        sums["onehot"] = np.einsum("nk,njh->kjh", t, self.onehot)
+        """Per-class sums under the (g, n) weights ``t`` (responsibilities or
+        a 0/1 hard partition), one product over ``cells``: ``nk`` the class
+        sizes, and ``t @ M.T`` for every named matrix M, keyed by its name;
+        ``onehot`` gives the (g, n_cat, m_max) level counts."""
+        S = t @ self.cells.T
+        sums = dict(zip(self.BLOCKS, np.split(S, self._bounds, axis=1)))
+        sums["onehot"] = sums["onehot"].reshape(len(t), self.groups.n_cat, self.m_max)
+        sums["nk"] = t.sum(axis=1)
         return sums

@@ -15,7 +15,9 @@ re-chooses the relevance vector from the per-column Delta) and one E step
 wrap the same kernels. The E kernel also yields the observed-data
 log-likelihood, which is all ``observed_loglik`` computes. The Gaussian
 per-cell log-densities are evaluated once per iteration, in the M step, and
-feed both the Delta and the next E step.
+feed both the Delta and the next E step. Inside the engines n is the inner,
+contiguous axis: responsibilities are (g, n) and the Gaussian cells
+(g, n_cont, n); the public operations and ``EmResult`` take and give (n, g).
 
 The penalized engine maximizes `loglik - nu_m * c` jointly over the relevance
 vector and the parameters; `c = ln(n)/2` yields the BIC, `c = 1` the AIC.
@@ -88,25 +90,25 @@ class EmResult:
 # ---------------------------------------------------------------------------
 
 def _cont_logdens(packed: Packed, mu, sigma) -> np.ndarray:
-    """(g, n, n_cont) Gaussian log-densities, class k at (mu[k], sigma[k]);
+    """(g, n_cont, n) Gaussian log-densities, class k at (mu[k], sigma[k]);
     masked cells are 0."""
-    L = dens.normal_logpdf(packed.Xc, mu[:, None, :], sigma[:, None, :])
+    L = dens.normal_logpdf(packed.Xc, mu[:, :, None], sigma[:, :, None])
     return np.multiply(L, packed.Mc, out=L)
 
 
 def _log_component_matrix(packed: Packed, theta: Parameters, Lc: np.ndarray):
-    """(n, g) sums of per-cell log densities over all columns, one matrix
+    """(g, n) sums of per-cell log densities over all columns, one matrix
     product per kind. ``Lc`` holds the continuous per-cell log-densities at
     ``theta`` (see ``_cont_logdens``). Masked cells contribute 0."""
-    V = packed.Xi @ np.log(theta.rate).T
-    V -= packed.Mi @ theta.rate.T
-    V -= packed.lgam.sum(axis=1)[:, None]
-    V += Lc.sum(axis=2).T
+    V = np.log(theta.rate) @ packed.Xi
+    V -= theta.rate @ packed.Mi
+    V -= packed.lgam_rows
+    V += Lc.sum(axis=1)
     if packed.groups.n_cat:
         # log-probabilities laid out like the padded one-hot, 0 on padding
         lp = np.zeros((theta.g, packed.level_mask.size))
         lp[:, packed.level_mask.ravel()] = np.log(np.concatenate(theta.probs, axis=1))
-        V += packed.onehot.reshape(packed.n, -1) @ lp.T
+        V += lp @ packed.onehot.reshape(-1, packed.n)
     return V
 
 
@@ -144,11 +146,11 @@ def _weighted_loglik_by_column(packed: Packed, t: np.ndarray, st: dict,
     gr = packed.groups
     out = np.zeros(packed.d)
     acc = np.zeros(gr.n_cont)
-    for k in range(t.shape[1]):
-        acc += t[:, k] @ Lc[k]
+    for k in range(len(t)):
+        acc += Lc[k] @ t[k]
     out[gr.cont] = acc
     terms = st["Xi"] * np.log(rate) - st["Mi"] * rate
-    out[gr.integer] = terms.sum(axis=0) - packed.lgam.sum(axis=0)
+    out[gr.integer] = terms.sum(axis=0) - packed.lgam.sum(axis=1)
     lp = np.log(np.where(packed.level_mask, probs, 1.0))
     out[gr.cat] = (st["onehot"] * lp).sum(axis=(0, 2))
     return out
@@ -158,13 +160,13 @@ class OneClassFit(NamedTuple):
     """The one-component fit: the shared block of every irrelevant column."""
 
     blocks: tuple       # (mu, sigma, rate, probs) shaped as for g = 1, mu centered
-    Lc: np.ndarray      # (1, n, n_cont) per-cell Gaussian log-densities
+    Lc: np.ndarray      # (1, n_cont, n) per-cell Gaussian log-densities
     loglik: np.ndarray  # (d,) per-column log-likelihood
 
 
 def one_class_fit(packed: Packed) -> OneClassFit:
     """The per-class estimator at g = 1, on all-ones weights."""
-    t = np.ones((packed.n, 1))
+    t = np.ones((1, packed.n))
     st = packed.class_sums(t)
     _, (mu, sigma, rate, probs) = _per_class_blocks(packed, st)
     Lc = _cont_logdens(packed, mu, sigma)
@@ -205,25 +207,26 @@ def _spikes(packed: Packed, sigma, omega) -> np.ndarray:
 
 
 def _e_kernel(packed: Packed, theta: Parameters, Lc: np.ndarray | None = None):
-    """Responsibilities t_ik ∝ tau_k * prod of observed-cell densities and
-    the observed-data log-likelihood, from one stabilized log-space pass.
+    """(g, n) responsibilities t_ki ∝ tau_k * prod of observed-cell densities
+    and the observed-data log-likelihood, from one stabilized log-space pass.
     ``Lc`` holds the continuous per-cell log-densities at ``theta`` (None:
     evaluate them here, on the centered cells)."""
     if Lc is None:
         Lc = _cont_logdens(packed, theta.mu - packed.shift, theta.sigma)
-    V = _log_component_matrix(packed, theta, Lc) + np.log(theta.tau)
-    vmax = V.max(axis=1)
-    V -= vmax[:, None]
+    V = _log_component_matrix(packed, theta, Lc) + np.log(theta.tau)[:, None]
+    vmax = V.max(axis=0)
+    V -= vmax
     np.exp(V, out=V)
-    s = V.sum(axis=1)
-    V /= s[:, None]
+    s = V.sum(axis=0)
+    V /= s
     return V, float((vmax + np.log(s)).sum())
 
 
 def _m_kernel(packed: Packed, t: np.ndarray, omega, floor: bool,
               allow_spikes: bool, penalty_c: float | None = None):
-    """Weighted MLE update: per-class blocks on relevant columns, the
-    one-class block on irrelevant ones, proportions from the soft counts.
+    """Weighted MLE update under the (g, n) weights ``t``: per-class blocks
+    on relevant columns, the one-class block on irrelevant ones, proportions
+    from the soft counts.
 
     ``penalty_c`` None keeps ``omega``. Otherwise Delta_j compares the
     expected log-likelihood of the per-class fit of column j against the
@@ -234,7 +237,7 @@ def _m_kernel(packed: Packed, t: np.ndarray, omega, floor: bool,
     Returns (Parameters, omega, Delta or None, the ``_cont_logdens`` of the
     new parameters for the next E step, or None when it has none to reuse).
     """
-    g = t.shape[1]
+    g = len(t)
     shared = packed.one_class
     st = packed.class_sums(t)
     tau = _tau_from_nk(st["nk"], packed.n, floor)
@@ -253,7 +256,8 @@ def _m_kernel(packed: Packed, t: np.ndarray, omega, floor: bool,
     theta = _assemble_theta(packed, tau, omega, mu, sigma, rate, probs)
     if Lc is not None:
         # reuse the Delta's per-class matrices; shared columns take the one-class one
-        np.copyto(Lc, shared.Lc, where=omega[packed.groups.cont] == 0)
+        irr = omega[packed.groups.cont] == 0
+        Lc[:, irr] = shared.Lc[:, irr]
     return theta, omega, delta, Lc
 
 
@@ -263,14 +267,14 @@ def _m_kernel(packed: Packed, t: np.ndarray, omega, floor: bool,
 
 def e_step(dataset: Dataset, model: Model, theta: Parameters) -> np.ndarray:
     """Responsibilities t_ik ∝ tau_k * prod of observed-cell densities,
-    computed in log space with max subtraction and row-normalized."""
-    return _e_kernel(dataset.packed(), theta)[0]
+    computed in log space with max subtraction and row-normalized: (n, g)."""
+    return np.ascontiguousarray(_e_kernel(dataset.packed(), theta)[0].T)
 
 
 def m_step(dataset: Dataset, model: Model, fuzzy: np.ndarray) -> Parameters:
     """Weighted MLE update: per-class blocks on relevant columns, the shared
     unweighted MLE on irrelevant ones, proportions from the soft counts."""
-    return _m_kernel(dataset.packed(), fuzzy, model.omega, False, False)[0]
+    return _m_kernel(dataset.packed(), fuzzy.T, model.omega, False, False)[0]
 
 
 def observed_loglik(dataset: Dataset, model: Model, theta: Parameters) -> float:
@@ -289,7 +293,7 @@ def penalized_m_step(dataset: Dataset, g: int, fuzzy: np.ndarray, c: float):
     """
     if g != fuzzy.shape[1]:
         raise ValueError("fuzzy must have g columns")
-    theta, omega, delta, _ = _m_kernel(dataset.packed(), fuzzy, None, False, False,
+    theta, omega, delta, _ = _m_kernel(dataset.packed(), fuzzy.T, None, False, False,
                                        penalty_c=float(c))
     return omega, theta, delta
 
@@ -307,9 +311,10 @@ def _init_theta(packed: Packed, g: int, omega: np.ndarray, rng: np.random.Genera
         raise EmError("need at least g observations")
     mu1, sigma1, rate1, probs1 = packed.one_class.blocks
     centers = rng.choice(packed.n, size=g, replace=False)
-    mu = np.where(packed.Mc[centers] > 0, packed.Xc[centers], mu1)
+    mu = np.where(packed.Mc[:, centers].T > 0, packed.Xc[:, centers].T, mu1)
     sigma = np.tile(np.maximum(sigma1, 1e-6), (g, 1))
-    rate = np.maximum(np.where(packed.Mi[centers] > 0, packed.Xi[centers], rate1), 1e-2)
+    rate = np.maximum(np.where(packed.Mi[:, centers].T > 0, packed.Xi[:, centers].T, rate1),
+                      1e-2)
     # unit-scale log-normal perturbations: categorical starts need to be
     # as assertive as the data-point centers are for continuous columns,
     # or category-driven basins are never explored
@@ -349,7 +354,7 @@ def _em_sequence(packed: Packed, theta: Parameters, omega: np.ndarray, cfg: EmCo
             break
         prev_obj = obj
     return EmResult(theta=theta, model=model, loglik=loglik, objective=obj,
-                    fuzzy=t, n_iterations=it, converged=converged,
+                    fuzzy=np.ascontiguousarray(t.T), n_iterations=it, converged=converged,
                     traces=[np.array(trace)])
 
 

@@ -145,7 +145,7 @@ class MarginalTables:
         # a kind without columns would only add empty factor calls to each move
         self.kinds = tuple(kind for kind in kinds if kind.cols.size)
         # the global marginal is the per-class factor of the one-class partition
-        self.glob = tuple(phi[0] for phi in self.factors(p.class_sums(np.ones((p.n, 1)))))
+        self.glob = tuple(phi[0] for phi in self.factors(p.class_sums(np.ones((1, p.n)))))
 
     def factors(self, st: dict) -> tuple:
         """Per kind, the (g, ·) per-class factors of its columns from the
@@ -172,8 +172,8 @@ class MiclState:
         self.model = model.copy()
         self.zi = np.asarray(zi, dtype=np.intp).copy()  # 0-based
         p = tables.packed
-        Z = np.zeros((p.n, model.g))
-        Z[np.arange(p.n), self.zi] = 1.0
+        Z = np.zeros((model.g, p.n))
+        Z[self.zi, np.arange(p.n)] = 1.0
         self.st = p.class_sums(Z)
         self.phi = tables.factors(self.st)
         self._set_rel_masks()
@@ -193,15 +193,16 @@ class MiclState:
         """Per kind, the relevance of its columns, and what ``candidate_values``
         reads of the relevant columns J: (J, each row's level in J or None,
         the row's entry of each class sum the kind reads, hyperparameters).
-        A row's entry of a level-count sum is its one-hot at its own level."""
+        A row's entry of a level-count sum is its one-hot at its own level.
+        The (n, J) cells are copied out of ``Packed``'s (columns, n) rows."""
         p = self.tables.packed
         rows = np.arange(p.n)[:, None]
         self.rel = tuple(self.model.omega[k.cols] == 1 for k in self.tables.kinds)
         self._rel_cells = []
         for kind, J in zip(self.tables.kinds, map(np.flatnonzero, self.rel)):
-            lev = None if kind.level is None else kind.level[:, J]
+            lev = None if kind.level is None else kind.level[J].T.copy()
             cells = [getattr(p, key) for key in kind.keys]
-            cells = [c[:, J] if c.ndim == 2 else c[rows, J, lev] for c in cells]
+            cells = [c[J].T.copy() if c.ndim == 2 else c[J, lev, rows] for c in cells]
             self._rel_cells.append((J, lev, cells, [v[J] for v in kind.hyp]))
 
     def _value(self) -> float:
@@ -259,7 +260,7 @@ class MiclState:
             new_value = float(self.candidate_values(i)[k])
         p = self.tables.packed
         for key, S in self.st.items():
-            x = 1.0 if key == "nk" else getattr(p, key)[i]
+            x = 1.0 if key == "nk" else getattr(p, key)[..., i]
             S[a] -= x
             S[k] += x
         new = self.tables.factors({key: S[[a, k]] for key, S in self.st.items()})

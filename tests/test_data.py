@@ -161,7 +161,8 @@ def test_packed_onehot_is_c_ordered_and_matches_loop_reference():
         for i in range(n):
             if not np.isnan(X[i, j]):
                 ref[i, jj, int(X[i, j]) - 1] = 1.0
-    assert np.array_equal(p.onehot, ref)
+    # (n_cat, m_max, n): n is the inner axis of every packed matrix
+    assert np.array_equal(p.onehot, ref.transpose(1, 2, 0))
     assert np.array_equal(p.level_mask, mask)
 
 
@@ -169,7 +170,7 @@ def test_packed_centers_continuous_cells():
     ds = Dataset([[1e8 + 1.0, 2.0], [np.nan, 1.0], [1e8 + 3.0, 0.0]], [CONT, INT])
     p = ds.packed()
     assert p.shift[0] == 1e8 + 2.0
-    assert list(p.Xc[:, 0]) == [-1.0, 0.0, 1.0]
+    assert list(p.Xc[0]) == [-1.0, 0.0, 1.0]
     assert Hyperparameters.default(ds).cont_c[0] == 1e8 + 2.0
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mixsel import (Dataset, EmptyWeight, UnsupportedValue, VariableKind,
-                    column_loglik, em, log_density, weighted_mle)
+from mixsel import (Dataset, EmptyWeight, Model, UnsupportedValue, VariableKind,
+                    column_loglik, e_step, em, log_density, m_step, weighted_mle)
 from mixsel.densities import LOG_2PI, SIGMA_FLOOR, normal_logpdf
 from mixsel.simulate import MIXED_INDEP, ScenarioSpec, generate
 
@@ -137,19 +137,69 @@ def test_cont_logdens_leaves_the_cells_alone():
     sigma = sigma1 * np.array([[0.5], [1.0], [2.0]])
     got = em._cont_logdens(packed, mu, sigma)
     assert np.array_equal(packed.Xc, before)
-    want = _textbook_logpdf(packed.Xc, mu[:, None, :], sigma[:, None, :]) * packed.Mc
+    assert got.shape == (3, packed.groups.n_cont, packed.n)  # (g, n_cont, n)
+    want = _textbook_logpdf(packed.Xc, mu[:, :, None], sigma[:, :, None]) * packed.Mc
     assert np.array_equal(got, want)
+
+
+def _soft_weights(packed, z):
+    """(g, n) responsibilities leaning 0.9 towards the labels ``z``."""
+    t = np.full((2, packed.n), 0.1)
+    t[z - 1, np.arange(packed.n)] = 0.9
+    return t
 
 
 def test_m_kernel_swaps_in_the_shared_cells_like_where():
     packed, z = _mixed_set()
-    t = np.full((packed.n, 2), 0.1)
-    t[np.arange(packed.n), z - 1] = 0.9
+    t = _soft_weights(packed, z)
     _, omega, _, Lc = em._m_kernel(packed, t, None, True, True,
                                    penalty_c=0.5 * np.log(packed.n))
     shared = omega[packed.groups.cont] == 0
     assert shared.any() and not shared.all()
     mu, sigma, _, _ = em._install(*em._per_class_blocks(packed, packed.class_sums(t)),
                                   packed.one_class.blocks)
-    want = np.where(shared, packed.one_class.Lc, em._cont_logdens(packed, mu, sigma))
+    want = np.where(shared[:, None], packed.one_class.Lc, em._cont_logdens(packed, mu, sigma))
     assert np.array_equal(Lc, want)
+
+
+def test_class_sums_one_product_matches_per_matrix_products():
+    packed, z = _mixed_set()
+    hard = np.zeros((2, packed.n))
+    hard[z - 1, np.arange(packed.n)] = 1.0
+    for t in (_soft_weights(packed, z), hard):
+        st = packed.class_sums(t)
+        assert st.keys() == {"nk", "Mc", "Xc", "Xc2", "Mi", "Xi", "lgam", "Mq", "onehot"}
+        for name in ("Mc", "Xc", "Xc2", "Mi", "Xi", "lgam", "Mq"):
+            want = t @ getattr(packed, name).T
+            assert st[name].shape == want.shape
+            assert np.allclose(st[name], want, rtol=1e-12, atol=1e-12), name
+        want = np.einsum("kn,jhn->kjh", t, packed.onehot)
+        assert st["onehot"].shape == (2, packed.groups.n_cat, packed.m_max)
+        assert np.allclose(st["onehot"], want, rtol=1e-12, atol=1e-12)
+        assert np.allclose(st["nk"], t.sum(axis=1), rtol=1e-12, atol=1e-12)
+    # under a 0/1 partition the counts are exact integers
+    for name in ("nk", "Mc", "Mi", "Mq", "onehot"):
+        assert np.array_equal(st[name], np.round(st[name])), name
+    assert np.array_equal(st["nk"], np.bincount(z - 1, minlength=2))
+    assert np.array_equal(st["Mc"], hard @ packed.Mc.T)
+
+
+def test_e_step_matches_a_textbook_log_sum_exp():
+    ds, z, _ = generate(ScenarioSpec(MIXED_INDEP, n=80, d=12, target_error=0.05,
+                                     missing_rate=0.2, seed=4))
+    g = 3
+    model = Model(g, np.ones(ds.d, dtype=np.int8))
+    fuzzy = np.random.default_rng(5).dirichlet(np.ones(g), size=ds.n)
+    theta = m_step(ds, model, fuzzy)
+    t = e_step(ds, model, theta)
+    assert t.shape == (ds.n, g) and t.flags.c_contiguous
+    assert np.allclose(t.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    # (n, g) log joint, cell by cell, then a row-wise log-sum-exp
+    L = np.tile(np.log(theta.tau), (ds.n, 1))
+    for i in range(ds.n):
+        for k in range(g):
+            for j in np.flatnonzero(ds.mask[i]):
+                L[i, k] += log_density(ds.X[i, j], ds.kinds[j], theta.block(k, j))
+    want = np.exp(L - L.max(axis=1, keepdims=True))
+    want /= want.sum(axis=1, keepdims=True)
+    assert np.allclose(t, want, rtol=0.0, atol=1e-12)
