@@ -6,8 +6,11 @@ arithmetic reduces exactly to the complete-data formulas.
 
 The shared block of an irrelevant column (and of a zero-weight cell) is the
 per-class estimator run at g = 1 (``one_class_fit``), so no path treats g = 1
-apart. The kernels work on ``Packed``'s centered cells; ``_assemble_theta``
-reports the means back in original units.
+apart. From ``_init_theta`` to the returned fit the engines keep one layout:
+``tau`` and the ``(mu, sigma, rate, probs)`` blocks, the means centered like
+``Packed``'s cells and the probabilities padded to (g, n_cat, m_max).
+``Parameters`` is built only at the API boundary: ``_parameters`` makes one
+per returned ``EmResult``, and ``_e_kernel_at`` reads one back.
 
 An iteration is one M step (``_m_kernel``, where the penalized engine also
 re-chooses the relevance vector from the per-column Delta) and one E step
@@ -96,22 +99,6 @@ def _cont_logdens(packed: Packed, mu, sigma) -> np.ndarray:
     return np.multiply(L, packed.Mc, out=L)
 
 
-def _log_component_matrix(packed: Packed, theta: Parameters, Lc: np.ndarray):
-    """(g, n) sums of per-cell log densities over all columns, one matrix
-    product per kind. ``Lc`` holds the continuous per-cell log-densities at
-    ``theta`` (see ``_cont_logdens``). Masked cells contribute 0."""
-    V = np.log(theta.rate) @ packed.Xi
-    V -= theta.rate @ packed.Mi
-    V -= packed.lgam_rows
-    V += Lc.sum(axis=1)
-    if packed.groups.n_cat:
-        # log-probabilities laid out like the padded one-hot, 0 on padding
-        lp = np.zeros((theta.g, packed.level_mask.size))
-        lp[:, packed.level_mask.ravel()] = np.log(np.concatenate(theta.probs, axis=1))
-        V += lp @ packed.onehot.reshape(-1, packed.n)
-    return V
-
-
 def _per_class_blocks(packed: Packed, st: dict):
     """Per block, the mask of cells that carry weight, and the floored
     per-component MLE blocks (mu, sigma, rate, probs). Zero-weight cells carry
@@ -145,10 +132,7 @@ def _weighted_loglik_by_column(packed: Packed, t: np.ndarray, st: dict,
     """
     gr = packed.groups
     out = np.zeros(packed.d)
-    acc = np.zeros(gr.n_cont)
-    for k in range(len(t)):
-        acc += Lc[k] @ t[k]
-    out[gr.cont] = acc
+    out[gr.cont] = sum(Lc[k] @ t[k] for k in range(len(t)))
     terms = st["Xi"] * np.log(rate) - st["Mi"] * rate
     out[gr.integer] = terms.sum(axis=0) - packed.lgam.sum(axis=1)
     lp = np.log(np.where(packed.level_mask, probs, 1.0))
@@ -174,18 +158,20 @@ def one_class_fit(packed: Packed) -> OneClassFit:
                        _weighted_loglik_by_column(packed, t, st, Lc, rate, probs))
 
 
-def _assemble_theta(packed: Packed, tau, omega, mu, sigma, rate, probs) -> Parameters:
-    """Install per-class blocks on relevant columns and the shared block
-    everywhere else, with the continuous means back in original units."""
+def _install_omega(packed: Packed, omega, blocks):
+    """Per-class blocks on the columns ``omega`` marks relevant, the shared
+    block of the one-class fit everywhere else."""
     gr = packed.groups
-    rel = omega == 1
-    mu, sigma, rate, probs = _install(
-        (rel[gr.cont], rel[gr.cont], rel[gr.integer], rel[gr.cat][:, None]),
-        (mu, sigma, rate, probs), packed.one_class.blocks)
-    # one (g, m_j) matrix per categorical column, padding dropped
-    plist = np.split(probs[:, packed.level_mask], np.cumsum(packed.m), axis=1)[:-1]
+    rel = [omega[cols] == 1 for cols in (gr.cont, gr.cont, gr.integer, gr.cat[:, None])]
+    return _install(rel, blocks, packed.one_class.blocks)
+
+
+def _parameters(packed: Packed, tau, blocks) -> Parameters:
+    """The public ``Parameters`` of internal blocks: the means back in
+    original units, one (g, m_j) matrix per categorical column."""
+    mu, sigma, rate, probs = blocks
     return Parameters(np.asarray(tau, dtype=float), mu + packed.shift, sigma, rate,
-                      plist, gr)
+                      [probs[:, j, :m] for j, m in enumerate(packed.m)], packed.groups)
 
 
 def _tau_from_nk(nk: np.ndarray, n: int, floor: bool):
@@ -206,20 +192,35 @@ def _spikes(packed: Packed, sigma, omega) -> np.ndarray:
     return (sigma <= dens.SIGMA_FLOOR) & rel & (sigma1 > 1e-6)
 
 
-def _e_kernel(packed: Packed, theta: Parameters, Lc: np.ndarray | None = None):
+def _e_kernel(packed: Packed, tau, blocks, Lc: np.ndarray):
     """(g, n) responsibilities t_ki ∝ tau_k * prod of observed-cell densities
     and the observed-data log-likelihood, from one stabilized log-space pass.
-    ``Lc`` holds the continuous per-cell log-densities at ``theta`` (None:
-    evaluate them here, on the centered cells)."""
-    if Lc is None:
-        Lc = _cont_logdens(packed, theta.mu - packed.shift, theta.sigma)
-    V = _log_component_matrix(packed, theta, Lc) + np.log(theta.tau)[:, None]
+    ``Lc`` holds the continuous per-cell log-densities at ``blocks``; the other
+    kinds add one matrix product each. Masked cells contribute 0."""
+    _, _, rate, probs = blocks
+    V = np.log(rate) @ packed.Xi
+    V -= rate @ packed.Mi
+    V -= packed.lgam_rows
+    V += Lc.sum(axis=1)
+    # log-probabilities laid out like the padded one-hot, 0 on padding
+    lp = np.log(np.where(packed.level_mask, probs, 1.0))
+    V += lp.reshape(len(tau), -1) @ packed.onehot.reshape(-1, packed.n)
+    V += np.log(tau)[:, None]
     vmax = V.max(axis=0)
     V -= vmax
     np.exp(V, out=V)
     s = V.sum(axis=0)
     V /= s
     return V, float((vmax + np.log(s)).sum())
+
+
+def _e_kernel_at(packed: Packed, theta: Parameters):
+    """``_e_kernel`` at a public ``Parameters``, moved to the internal layout."""
+    probs = np.ones((theta.g, packed.groups.n_cat, packed.m_max))
+    for j, m in enumerate(packed.m):
+        probs[:, j, :m] = theta.probs[j]
+    blocks = (theta.mu - packed.shift, theta.sigma, theta.rate, probs)
+    return _e_kernel(packed, theta.tau, blocks, _cont_logdens(packed, *blocks[:2]))
 
 
 def _m_kernel(packed: Packed, t: np.ndarray, omega, floor: bool,
@@ -234,31 +235,28 @@ def _m_kernel(packed: Packed, t: np.ndarray, omega, floor: bool,
     column is relevant iff Delta_j > 0. ``floor`` floors empty components
     and ``allow_spikes`` accepts variance spikes instead of raising.
 
-    Returns (Parameters, omega, Delta or None, the ``_cont_logdens`` of the
-    new parameters for the next E step, or None when it has none to reuse).
+    Returns (tau, blocks, omega, Delta or None, the ``_cont_logdens`` of the
+    blocks for the next E step).
     """
-    g = len(t)
     shared = packed.one_class
     st = packed.class_sums(t)
     tau = _tau_from_nk(st["nk"], packed.n, floor)
     mu, sigma, rate, probs = _install(*_per_class_blocks(packed, st), shared.blocks)
-    Lc = delta = None
+    Lc = _cont_logdens(packed, mu, sigma)
+    delta = None
     if penalty_c is not None:
-        Lc = _cont_logdens(packed, mu, sigma)
         wll = _weighted_loglik_by_column(packed, t, st, Lc, rate, probs)
-        delta = wll - shared.loglik - (g - 1.0) * packed.nu * penalty_c
+        delta = wll - shared.loglik - (len(t) - 1.0) * packed.nu * penalty_c
         omega = (delta > 0).astype(np.int8)
     spiky = _spikes(packed, sigma, omega)
     if not allow_spikes and spiky.any():
         raise DegenerateComponent(
             f"variance spike at (component, column) = "
             f"{tuple(int(v) for v in np.argwhere(spiky)[0])}")
-    theta = _assemble_theta(packed, tau, omega, mu, sigma, rate, probs)
-    if Lc is not None:
-        # reuse the Delta's per-class matrices; shared columns take the one-class one
-        irr = omega[packed.groups.cont] == 0
-        Lc[:, irr] = shared.Lc[:, irr]
-    return theta, omega, delta, Lc
+    # shared columns take the one-class cells, as their blocks take its blocks
+    irr = omega[packed.groups.cont] == 0
+    Lc[:, irr] = shared.Lc[:, irr]
+    return tau, _install_omega(packed, omega, (mu, sigma, rate, probs)), omega, delta, Lc
 
 
 # ---------------------------------------------------------------------------
@@ -268,20 +266,22 @@ def _m_kernel(packed: Packed, t: np.ndarray, omega, floor: bool,
 def e_step(dataset: Dataset, model: Model, theta: Parameters) -> np.ndarray:
     """Responsibilities t_ik ∝ tau_k * prod of observed-cell densities,
     computed in log space with max subtraction and row-normalized: (n, g)."""
-    return np.ascontiguousarray(_e_kernel(dataset.packed(), theta)[0].T)
+    return np.ascontiguousarray(_e_kernel_at(dataset.packed(), theta)[0].T)
 
 
 def m_step(dataset: Dataset, model: Model, fuzzy: np.ndarray) -> Parameters:
     """Weighted MLE update: per-class blocks on relevant columns, the shared
     unweighted MLE on irrelevant ones, proportions from the soft counts."""
-    return _m_kernel(dataset.packed(), fuzzy.T, model.omega, False, False)[0]
+    packed = dataset.packed()
+    tau, blocks, *_ = _m_kernel(packed, fuzzy.T, model.omega, False, False)
+    return _parameters(packed, tau, blocks)
 
 
 def observed_loglik(dataset: Dataset, model: Model, theta: Parameters) -> float:
     """Observed-data log-likelihood of ``theta``, the one the E step
     computes; ``model`` is implied by ``theta`` (shared blocks on irrelevant
     columns)."""
-    return _e_kernel(dataset.packed(), theta)[1]
+    return _e_kernel_at(dataset.packed(), theta)[1]
 
 
 def penalized_m_step(dataset: Dataset, g: int, fuzzy: np.ndarray, c: float):
@@ -293,19 +293,20 @@ def penalized_m_step(dataset: Dataset, g: int, fuzzy: np.ndarray, c: float):
     """
     if g != fuzzy.shape[1]:
         raise ValueError("fuzzy must have g columns")
-    theta, omega, delta, _ = _m_kernel(dataset.packed(), fuzzy.T, None, False, False,
-                                       penalty_c=float(c))
-    return omega, theta, delta
+    packed = dataset.packed()
+    tau, blocks, omega, delta, _ = _m_kernel(packed, fuzzy.T, None, False, False,
+                                             penalty_c=float(c))
+    return omega, _parameters(packed, tau, blocks), delta
 
 
 # ---------------------------------------------------------------------------
 # runners
 # ---------------------------------------------------------------------------
 
-def _init_theta(packed: Packed, g: int, omega: np.ndarray, rng: np.random.Generator) -> Parameters:
-    """Random start: g distinct observations as centers, one-class scales,
-    perturbed one-class level frequencies; shared columns start at the
-    one-class fit; uniform proportions."""
+def _init_theta(packed: Packed, g: int, omega: np.ndarray, rng: np.random.Generator):
+    """Random start, as (tau, blocks): g distinct observations as centers,
+    one-class scales, perturbed one-class level frequencies; shared columns
+    start at the one-class fit; uniform proportions."""
     gr = packed.groups
     if packed.n < g:
         raise EmError("need at least g observations")
@@ -321,26 +322,25 @@ def _init_theta(packed: Packed, g: int, omega: np.ndarray, rng: np.random.Genera
     noise = rng.standard_normal((g, gr.n_cat, packed.m_max))
     raw = probs1 * np.exp(noise)
     probs = dens.floor_probs(raw, packed.level_mask)
-    tau = np.full(g, 1.0 / g)
-    return _assemble_theta(packed, tau, omega, mu, sigma, rate, probs)
+    return np.full(g, 1.0 / g), _install_omega(packed, omega, (mu, sigma, rate, probs))
 
 
-def _em_sequence(packed: Packed, theta: Parameters, omega: np.ndarray, cfg: EmConfig,
+def _em_sequence(packed: Packed, tau, blocks, omega: np.ndarray, cfg: EmConfig,
                  penalty_c: float | None, floor: bool, allow_spikes: bool):
-    """One EM run from one start, as an ``EmResult`` holding its own trace.
+    """One EM run from the start (tau, blocks), as an ``EmResult`` with its trace.
 
     ``penalty_c`` None means the model (omega) stays fixed; otherwise omega is
     re-optimized every M step and the objective is penalized.
     """
-    g = theta.g
-    t, _ = _e_kernel(packed, theta)
+    g = len(tau)
+    t, _ = _e_kernel(packed, tau, blocks, _cont_logdens(packed, *blocks[:2]))
     prev_obj = -np.inf
     trace = []
     converged = False
     model, penalty = None, 0.0
     for it in range(1, cfg.max_iterations + 1):
-        theta, omega, _, Lc = _m_kernel(packed, t, omega, floor, allow_spikes, penalty_c)
-        t, loglik = _e_kernel(packed, theta, Lc)
+        tau, blocks, omega, _, Lc = _m_kernel(packed, t, omega, floor, allow_spikes, penalty_c)
+        t, loglik = _e_kernel(packed, tau, blocks, Lc)
         if model is None or (omega != model.omega).any():
             # the penalty only changes with omega
             model = Model(g, omega)
@@ -353,9 +353,9 @@ def _em_sequence(packed: Packed, theta: Parameters, omega: np.ndarray, cfg: EmCo
             converged = True
             break
         prev_obj = obj
-    return EmResult(theta=theta, model=model, loglik=loglik, objective=obj,
-                    fuzzy=np.ascontiguousarray(t.T), n_iterations=it, converged=converged,
-                    traces=[np.array(trace)])
+    return EmResult(theta=_parameters(packed, tau, blocks), model=model, loglik=loglik,
+                    objective=obj, fuzzy=np.ascontiguousarray(t.T), n_iterations=it,
+                    converged=converged, traces=[np.array(trace)])
 
 
 def _run_starts(dataset: Dataset, g: int, omega0, cfg: EmConfig,
@@ -375,8 +375,8 @@ def _run_starts(dataset: Dataset, g: int, omega0, cfg: EmConfig,
     def attempt(rng, floor: bool, allow_spikes: bool):
         omega = omega0 if omega0 is not None else \
             rng.integers(0, 2, size=packed.d).astype(np.int8)
-        theta0 = _init_theta(packed, g, omega, rng)
-        return _em_sequence(packed, theta0, omega, cfg, penalty_c, floor, allow_spikes)
+        return _em_sequence(packed, *_init_theta(packed, g, omega, rng), omega, cfg,
+                            penalty_c, floor, allow_spikes)
 
     best = None
     traces = []

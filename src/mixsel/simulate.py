@@ -15,6 +15,7 @@ from .util import derive_seed, seeded_rng
 
 CONTINUOUS_TRIDIAG = "continuous-tridiag"
 MIXED_INDEP = "mixed-indep"
+R = 6  # class-separating columns of both designs; the other d - R are noise
 
 
 class LengthMismatch(ValueError):
@@ -34,15 +35,13 @@ class ScenarioSpec:
     """One benchmark design.
 
     ``target_error`` is the Bayes misclassification rate the overlap knob is
-    calibrated to; ``r`` counts the class-separating columns (the remaining
-    d - r are noise). ``rho`` only applies to the continuous family; the
-    mixed family rejects a nonzero value.
+    calibrated to. ``rho`` only applies to the continuous family; the mixed
+    family rejects a nonzero value.
     """
 
     family: str
     n: int = 200
     d: int = 10
-    r: int = 6
     rho: float = 0.0
     target_error: float = 0.05
     missing_rate: float = 0.0
@@ -51,8 +50,8 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.family not in (CONTINUOUS_TRIDIAG, MIXED_INDEP):
             raise InvalidShape(f"unknown family {self.family!r}")
-        if self.r > self.d or self.n < 2:
-            raise InvalidShape("need r <= d and n >= 2")
+        if self.d < R or self.n < 2:
+            raise InvalidShape(f"need d >= {R} and n >= 2")
         if not 0.0 <= self.missing_rate < 1.0:
             raise InvalidShape("missing_rate must lie in [0, 1)")
         if not 0.0 < self.target_error <= 0.5:
@@ -60,10 +59,8 @@ class ScenarioSpec:
         if self.family == CONTINUOUS_TRIDIAG and not -0.5 < self.rho < 0.5:
             raise InvalidShape("rho must lie in (-0.5, 0.5)")
         if self.family == MIXED_INDEP:
-            if self.d % 3 != 0 or self.d < 6:
-                raise InvalidShape("mixed design needs d divisible by 3 and >= 6")
-            if self.r != 6:
-                raise InvalidShape("mixed design uses exactly 6 separating columns")
+            if self.d % 3 != 0:
+                raise InvalidShape("mixed design needs d divisible by 3")
             if self.rho != 0.0:
                 raise InvalidShape("rho only applies to the continuous family")
 
@@ -163,8 +160,7 @@ def calibrate_delta(spec: ScenarioSpec) -> float:
     outside the risk's range there raises NoRoot.
     """
     if spec.family == CONTINUOUS_TRIDIAG:
-        q = float(np.ones(spec.r) @ np.linalg.solve(_tridiag(spec.r, spec.rho),
-                                                    np.ones(spec.r)))
+        q = float(np.ones(R) @ np.linalg.solve(_tridiag(R, spec.rho), np.ones(R)))
         return float(ndtri(1.0 - spec.target_error) / np.sqrt(q))
     lo, hi = 1e-9, 3.0 - 1e-9
     if not _mixed_bayes_risk(hi) <= spec.target_error <= _mixed_bayes_risk(lo):
@@ -182,8 +178,8 @@ def _balanced_labels(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def gen_continuous(spec: ScenarioSpec):
-    """Two balanced Gaussian components: r separating columns with centers
-    ±delta and tridiagonal covariance, d - r standard-normal noise columns.
+    """Two balanced Gaussian components: R separating columns with centers
+    ±delta and tridiagonal covariance, d - R standard-normal noise columns.
 
     Returns (Dataset, true labels, true Model).
     """
@@ -192,14 +188,14 @@ def gen_continuous(spec: ScenarioSpec):
     delta = calibrate_delta(spec)
     rng = seeded_rng(spec.seed, 1)
     z = _balanced_labels(spec.n, rng)
-    L = np.linalg.cholesky(_tridiag(spec.r, spec.rho))
+    L = np.linalg.cholesky(_tridiag(R, spec.rho))
     X = np.empty((spec.n, spec.d))
     signs = np.where(z == 1, -1.0, 1.0)
-    X[:, : spec.r] = signs[:, None] * delta + rng.standard_normal((spec.n, spec.r)) @ L.T
-    X[:, spec.r:] = rng.standard_normal((spec.n, spec.d - spec.r))
+    X[:, :R] = signs[:, None] * delta + rng.standard_normal((spec.n, R)) @ L.T
+    X[:, R:] = rng.standard_normal((spec.n, spec.d - R))
     kinds = [VariableKind.continuous()] * spec.d
     omega = np.zeros(spec.d, dtype=np.int8)
-    omega[: spec.r] = 1
+    omega[:R] = 1
     ds = Dataset(X, kinds)
     return ds, z, Model(2, omega)
 
@@ -225,7 +221,7 @@ def gen_mixed(spec: ScenarioSpec):
     z = _balanced_labels(spec.n, rng)
     k = z - 1
     n, d = spec.n, spec.d
-    n_noise = (d - 6) // 3
+    n_noise = (d - R) // 3
     X = np.empty((n, d))
     mu = np.asarray(par["mu"])[k]
     X[:, 0:2] = mu[:, None] + rng.standard_normal((n, 2))
@@ -233,12 +229,9 @@ def gen_mixed(spec: ScenarioSpec):
     X[:, 2:4] = rng.poisson(lam[:, None], size=(n, 2))
     p2 = np.asarray(par["p2"])[k]
     X[:, 4:6] = 1.0 + rng.binomial(1, p2[:, None], size=(n, 2))
-    c0 = 6
-    X[:, c0:c0 + n_noise] = rng.standard_normal((n, n_noise))
-    X[:, c0 + n_noise:c0 + 2 * n_noise] = rng.poisson(par["noise"]["lam"],
-                                                      size=(n, n_noise))
-    X[:, c0 + 2 * n_noise:] = 1.0 + rng.binomial(1, par["noise"]["p2"],
-                                                 size=(n, n_noise))
+    X[:, R:R + n_noise] = rng.standard_normal((n, n_noise))
+    X[:, R + n_noise:R + 2 * n_noise] = rng.poisson(par["noise"]["lam"], size=(n, n_noise))
+    X[:, R + 2 * n_noise:] = 1.0 + rng.binomial(1, par["noise"]["p2"], size=(n, n_noise))
     kinds = ([VariableKind.continuous()] * 2 + [VariableKind.integer()] * 2
              + [VariableKind.categorical(2)] * 2
              + [VariableKind.continuous()] * n_noise
@@ -246,7 +239,7 @@ def gen_mixed(spec: ScenarioSpec):
              + [VariableKind.categorical(2)] * n_noise)
     labels = {j: ["a", "b"] for j, kd in enumerate(kinds) if kd.tag == "cat"}
     omega = np.zeros(d, dtype=np.int8)
-    omega[:6] = 1
+    omega[:R] = 1
     return Dataset(X, kinds, cat_labels=labels), z, Model(2, omega)
 
 

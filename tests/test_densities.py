@@ -149,17 +149,32 @@ def _soft_weights(packed, z):
     return t
 
 
-def test_m_kernel_swaps_in_the_shared_cells_like_where():
+def _check_m_kernel_cells(penalized):
     packed, z = _mixed_set()
     t = _soft_weights(packed, z)
-    _, omega, _, Lc = em._m_kernel(packed, t, None, True, True,
-                                   penalty_c=0.5 * np.log(packed.n))
+    fixed = np.repeat(np.array([1, 0], dtype=np.int8), 6)
+    c = 0.5 * np.log(packed.n) if penalized else None
+    _, blocks, omega, _, Lc = em._m_kernel(packed, t, None if penalized else fixed,
+                                           True, True, penalty_c=c)
     shared = omega[packed.groups.cont] == 0
     assert shared.any() and not shared.all()
     mu, sigma, _, _ = em._install(*em._per_class_blocks(packed, packed.class_sums(t)),
                                   packed.one_class.blocks)
     want = np.where(shared[:, None], packed.one_class.Lc, em._cont_logdens(packed, mu, sigma))
     assert np.array_equal(Lc, want)
+    # the cells are those of the blocks handed to the E step
+    assert np.array_equal(Lc, em._cont_logdens(packed, *blocks[:2]))
+
+
+def test_m_kernel_swaps_in_the_shared_cells_like_where():
+    # the penalized engine picks its own omega
+    _check_m_kernel_cells(penalized=True)
+
+
+def test_m_kernel_fixed_omega_swaps_in_the_shared_cells_like_where():
+    # the plain engine keeps the true omega (continuous columns 0, 1 relevant,
+    # 6, 7 shared)
+    _check_m_kernel_cells(penalized=False)
 
 
 def test_class_sums_one_product_matches_per_matrix_products():

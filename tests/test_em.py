@@ -315,3 +315,46 @@ def test_m_step_zero_weight_cells_take_shared_block():
         assert not np.allclose(theta.block(0, j), shared)
     assert theta.block(2, 2) == pytest.approx(np.full(3, 1.0 / 3.0), rel=1e-12)
     assert theta.block(2, 3)[0] == pytest.approx(X[z == 2, 3].mean(), rel=1e-12)
+
+
+def _single_kind_dataset(kind_tag, n=60, missing=0.1):
+    """Two separated classes over four columns of one kind, with a share of
+    missing cells."""
+    rng = np.random.default_rng({"cont": 41, "int": 42, "cat": 43}[kind_tag])
+    z = np.repeat([0, 1], n // 2)
+    if kind_tag == "cont":
+        X = rng.normal(3.0 * z[:, None], 1.0, (n, 4))
+        kinds = [CONT] * 4
+    elif kind_tag == "int":
+        X = rng.poisson(np.where(z == 0, 2.0, 9.0)[:, None], (n, 4)).astype(float)
+        kinds = [INT] * 4
+    else:
+        # 2 and 4 levels, so the padded probabilities have unused levels
+        m = np.array([2, 2, 4, 4])
+        hit = rng.random((n, 4)) < 0.8
+        X = np.where(hit, z[:, None] * (m - 1), rng.integers(0, m, (n, 4))) + 1.0
+        kinds = [VariableKind.categorical(int(k)) for k in m]
+    drop = rng.random(X.shape) < missing
+    drop[0] = False
+    X[drop] = np.nan
+    return Dataset(X, kinds)
+
+
+@pytest.mark.parametrize("criterion", ["bic", "aic", "micl", "bic-noselect",
+                                       "icl-noselect"])
+@pytest.mark.parametrize("kind_tag", ["cont", "int", "cat"])
+def test_single_kind_data_round_trips_through_the_public_operations(kind_tag, criterion):
+    # a dataset with only one column kind leaves the other kinds' blocks empty
+    from mixsel import select_model
+    ds = _single_kind_dataset(kind_tag)
+    assert 0.05 < 1.0 - ds.mask.mean() < 0.15
+    report = select_model(ds, criterion, 2, EmConfig(seed=3, n_starts=3))
+    model = report.best.model
+    assert observed_loglik(ds, model, report.theta) == pytest.approx(report.best.loglik,
+                                                                     rel=1e-12)
+    t = e_step(ds, model, report.theta)
+    assert t.shape == (ds.n, report.g)
+    assert np.allclose(t.sum(axis=1), 1.0, atol=1e-12)
+    theta = m_step(ds, model, t)
+    assert theta.g == report.g
+    assert np.isfinite(observed_loglik(ds, model, theta))

@@ -108,8 +108,9 @@ def test_gen_mixed_structure():
 def test_gen_mixed_shape_validation():
     with pytest.raises(InvalidShape):
         ScenarioSpec(MIXED_INDEP, n=50, d=10, target_error=0.1)
-    with pytest.raises(InvalidShape):
-        ScenarioSpec(MIXED_INDEP, n=50, d=12, r=9, target_error=0.1)
+    for family, d in ((MIXED_INDEP, 3), (CONTINUOUS_TRIDIAG, 5)):
+        with pytest.raises(InvalidShape):  # fewer columns than the 6 separating ones
+            ScenarioSpec(family, n=50, d=d, target_error=0.1)
 
 
 def test_zeroed_offsets_leave_no_signal():
