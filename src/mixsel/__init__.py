@@ -12,17 +12,14 @@ __version__ = "0.1.0"
 
 from .data import (CAT, CONT, INT, AllMissingColumn, ColumnGroups, DataError,
                    Dataset, Hyperparameters, Model, NegativeInteger,
-                   OutOfRangeCategorical, Parameters, VariableKind,
-                   observed_count, observed_count_in_class, validate)
-from .densities import (EmptyWeight, UnsupportedValue, column_loglik,
-                        log_density, weighted_mle)
+                   OutOfRangeCategorical, Parameters, VariableKind, validate)
 from .em import (EmConfig, EmError, EmResult, EmptyComponent, e_step, m_step,
                  observed_loglik, penalized_m_step, run_em, run_penalized_em)
 from .criteria import (CRITERIA, SelectionReport, aic, bic, count_params,
                        map_partition, select_model)
 from .micl import (MarginalTables, MiclConfig, MiclState,
                    log_dirichlet_proportion_term, log_integrated_complete,
-                   log_marginal_variable, model_step, partition_step, run_micl)
+                   log_marginal_variable, partition_step, run_micl)
 from .simulate import (InvalidShape, LengthMismatch, NoRoot, ScenarioSpec, ari,
                        calibrate_delta, gen_continuous, gen_mixed, generate,
                        inject_mcar)

@@ -29,8 +29,8 @@ def run_replicate(job: tuple) -> list:
             "rep": rep,
             "criterion": crit,
             "ari": ari(z_true, report.partition),
-            "g": report.g,
-            "rel_rate": report.relevant_rate,
+            "g": report.best.g,
+            "rel_rate": float(np.mean(report.best.model.omega)),
             "value": report.best.value,
             "runtime_s": time.perf_counter() - t0,
         })

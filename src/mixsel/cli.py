@@ -96,13 +96,14 @@ def cmd_cluster(args, argv) -> int:
 
     dump_json({
         "manifest_id": mid,
-        "tau": [float(t) for t in report.theta.tau],
+        "tau": [float(t) for t in report.best.theta.tau],
         "columns": [
             {"name": dataset.names[j],
              "kind": dataset.kinds[j].tag,
              "levels": dataset.cat_labels.get(j),
-             "relevant": bool(report.relevance[j]),
-             "components": [_block_json(report.theta, dataset, j, k) for k in range(g)]}
+             "relevant": bool(report.best.model.omega[j]),
+             "components": [_block_json(report.best.theta, dataset, j, k)
+                            for k in range(g)]}
             for j in range(dataset.d)
         ],
     }, os.path.join(args.out, "parameters.json"))

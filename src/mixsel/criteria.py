@@ -51,18 +51,8 @@ class SelectionReport:
     criterion: str
     records: list = field(default_factory=list)
     best: GRecord | None = None
-    theta: Parameters | None = None
     fuzzy: np.ndarray | None = None
     partition: np.ndarray | None = None
-    relevance: np.ndarray | None = None
-
-    @property
-    def g(self) -> int:
-        return self.best.g
-
-    @property
-    def relevant_rate(self) -> float:
-        return float(np.mean(self.best.model.omega))
 
 
 def select_model(dataset: Dataset, criterion: str, g_max: int, config: EmConfig,
@@ -116,12 +106,9 @@ def select_model(dataset: Dataset, criterion: str, g_max: int, config: EmConfig,
         # inference for the selected model only
         refit = run_em(dataset, report.best.model,
                        replace(config, seed=derive_seed(config.seed, 23)))
-        report.theta, report.fuzzy = refit.theta, refit.fuzzy
-        report.best.theta = refit.theta
-        report.best.loglik = refit.loglik
+        report.best.theta, report.best.loglik = refit.theta, refit.loglik
+        report.fuzzy = refit.fuzzy
     else:
-        res = em_results[report.best.g]
-        report.theta, report.fuzzy = res.theta, res.fuzzy
+        report.fuzzy = em_results[report.best.g].fuzzy
     report.partition = map_partition(report.fuzzy)
-    report.relevance = report.best.model.omega.astype(bool)
     return report

@@ -164,15 +164,6 @@ class Dataset:
     def d(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def has_missing(self) -> bool:
-        return bool((~self.mask).any())
-
-    @property
-    def observed_counts(self) -> np.ndarray:
-        """Observed-cell count per column (cached by validate)."""
-        return self._n_j
-
     def packed(self) -> "Packed":
         if self._packed is None:
             self._packed = Packed(self)
@@ -187,12 +178,11 @@ class Dataset:
 def validate(dataset: Dataset) -> None:
     """Check all type invariants; raises a DataError subclass on failure."""
     X, mask = dataset.X, dataset.mask
-    n_j = mask.sum(axis=0).astype(np.intp)
     for j, kind in enumerate(dataset.kinds):
-        if n_j[j] == 0:
-            raise AllMissingColumn(j)
         col = X[:, j]
         obs = mask[:, j]
+        if not obs.any():
+            raise AllMissingColumn(j)
         vals = col[obs]
         if not np.isfinite(vals).all():
             i = int(np.flatnonzero(obs & ~np.isfinite(col))[0])
@@ -207,22 +197,8 @@ def validate(dataset: Dataset) -> None:
             if bad.any():
                 i = int(np.flatnonzero(obs)[np.flatnonzero(bad)[0]])
                 raise OutOfRangeCategorical(i, j, float(X[i, j]), kind.levels)
-    dataset._n_j = n_j
     dataset.X.setflags(write=False)
     dataset.mask.setflags(write=False)
-
-
-def observed_count(dataset: Dataset, j: int) -> int:
-    """Number of rows where column j is observed."""
-    return int(dataset.observed_counts[j])
-
-
-def observed_count_in_class(dataset: Dataset, z: np.ndarray, j: int, k: int) -> int:
-    """Number of rows of class k (labels 1..g) where column j is observed."""
-    z = np.asarray(z)
-    if len(z) != dataset.n:
-        raise DataError("partition length must equal n")
-    return int(np.count_nonzero(dataset.mask[:, j] & (z == k)))
 
 
 @dataclass
@@ -239,14 +215,6 @@ class Model:
         if not np.isin(om, (0, 1)).all():
             raise ValueError("omega entries must be 0 or 1")
         self.omega = om.astype(np.int8)
-
-    @property
-    def relevant(self) -> np.ndarray:
-        return np.flatnonzero(self.omega == 1)
-
-    @property
-    def irrelevant(self) -> np.ndarray:
-        return np.flatnonzero(self.omega == 0)
 
     def copy(self) -> "Model":
         return Model(self.g, self.omega.copy())
@@ -306,7 +274,7 @@ class Hyperparameters:
     (a, b, c, d) for the Normal–Inverse-Gamma prior (sigma² ~ IG(a/2, b²/2),
     mu | sigma² ~ N(c, sigma²/d)); integer columns (a, b) for the Gamma prior
     on the rate; categorical columns a symmetric Dirichlet weight a.
-    Arrays are aligned with ``groups``.
+    Arrays are aligned with the dataset's ``groups``.
     """
 
     u: float
@@ -317,7 +285,6 @@ class Hyperparameters:
     int_a: np.ndarray
     int_b: np.ndarray
     cat_a: np.ndarray
-    groups: ColumnGroups
 
     def __post_init__(self):
         vals = [np.atleast_1d(self.u), self.cont_a, self.cont_b, self.cont_d,
@@ -340,7 +307,6 @@ class Hyperparameters:
             int_a=np.ones(gr.n_int),
             int_b=np.ones(gr.n_int),
             cat_a=np.full(gr.n_cat, 0.5),
-            groups=gr,
         )
 
 

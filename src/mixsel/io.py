@@ -11,6 +11,7 @@ manifest so results are reproducible.
 from __future__ import annotations
 
 import csv
+from itertools import compress
 
 import numpy as np
 
@@ -89,11 +90,13 @@ def read_csv(path: str, schema: dict | None = None):
     kinds: list[VariableKind] = []
     info = {"kinds": {}, "source": {}, "categorical_levels": {}}
     X = np.empty((len(body), d))
+    mask = np.empty((len(body), d), dtype=bool)  # only NA or "" is missing, not "nan"
     cat_labels = {}
     columns = zip(*(row for _, row in body))
     for j, (name, col) in enumerate(zip(names, columns)):
         col = [c.strip() for c in col]
-        observed = [raw for raw in col if raw not in _MISSING]
+        present = [raw not in _MISSING for raw in col]
+        observed = list(compress(col, present))
         declared = schema.get(name) if schema else None
         if schema is not None and declared is None:
             raise DataError(f"{path}: column {name!r} missing from the schema")
@@ -113,13 +116,14 @@ def read_csv(path: str, schema: dict | None = None):
             kinds.append(VariableKind.continuous() if tag == CONT
                          else VariableKind.integer())
             parse, problem = _numeric, "is not numeric"
-        values = [np.nan if raw in _MISSING else parse(raw) for raw in col]
+        values = [parse(raw) if ok else np.nan for raw, ok in zip(col, present)]
         if None in values:
             i = values.index(None)
             raise DataError(f"{path}: cell ({i + 1}, {name!r}) = {col[i]!r} {problem}")
         X[:, j] = values
+        mask[:, j] = present
         info["kinds"][name] = tag
-    ds = Dataset(X, kinds, names=names, cat_labels=cat_labels)
+    ds = Dataset(X, kinds, names=names, mask=mask, cat_labels=cat_labels)
     return ds, info
 
 

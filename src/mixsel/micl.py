@@ -131,7 +131,6 @@ class MarginalTables:
     marginal unchanged."""
 
     def __init__(self, dataset: Dataset, hyper: Hyperparameters):
-        self.dataset = dataset
         self.hyper = hyper
         p = dataset.packed()
         self.packed = p
@@ -210,10 +209,6 @@ class MiclState:
         for rel, phi, glob in zip(self.rel, self.phi, self.tables.glob):
             total += float(np.where(rel, phi.sum(0), glob).sum())
         return total
-
-    def recomputed_value(self) -> float:
-        """From-scratch value of the current (model, z); for consistency checks."""
-        return MiclState(self.tables, self.model, self.zi).log_icl
 
     # -- single-observation moves -------------------------------------------
 
@@ -310,16 +305,7 @@ def log_integrated_complete(dataset: Dataset, z, model: Model,
     return MiclState.from_partition(MarginalTables(dataset, hyper), model, z).log_icl
 
 
-def model_step(dataset: Dataset, z, g: int, hyper: Hyperparameters) -> np.ndarray:
-    """Per-column relevance argmax at a fixed partition."""
-    tables = MarginalTables(dataset, hyper)
-    state = MiclState.from_partition(tables, Model(g, np.ones(dataset.d, dtype=np.int8)), z)
-    state.model_update()
-    return state.model.omega
-
-
-def partition_step(dataset: Dataset, state: MiclState, *,
-                   rng: np.random.Generator) -> MiclState:
+def partition_step(state: MiclState, *, rng: np.random.Generator) -> MiclState:
     """Greedy single-observation reassignments (random order per sweep) until
     a full sweep makes no move or ``SWEEP_CAP`` sweeps are done. Never
     decreases the objective.
@@ -329,8 +315,6 @@ def partition_step(dataset: Dataset, state: MiclState, *,
     it, and the sweep resumes right after that row. The rows before it were
     scored against the same state the sequential sweep would have seen, so
     the visits and moves are those of a row-by-row sweep."""
-    if state.tables.dataset is not dataset:
-        raise ValueError("state was built for a different dataset")
     n = state.tables.packed.n
     for _ in range(SWEEP_CAP):
         moved = False
@@ -391,7 +375,7 @@ def run_micl(dataset: Dataset, g: int, hyper: Hyperparameters,
         state = MiclState.from_partition(tables, Model(g, omega0), z0)
         prev = state.log_icl
         for _ in range(MAX_ALTERNATIONS):
-            partition_step(dataset, state, rng=rng)
+            partition_step(state, rng=rng)
             state.model_update()
             if state.log_icl <= prev + 1e-9:
                 break

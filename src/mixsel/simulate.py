@@ -103,35 +103,6 @@ def _tridiag(r: int, rho: float) -> np.ndarray:
     return S
 
 
-def _mixed_log_ratio(xc, xi, xb, delta):
-    """Log density ratio (component 2 over component 1) of the six separating
-    margins of the mixed design."""
-    lam1, lam2 = 3.0 - delta, 3.0 + delta
-    log_lam, dlam = np.log(lam2 / lam1), lam2 - lam1
-    log_hi, log_lo = np.log(0.7 / 0.3), np.log(0.3 / 0.7)
-    lr = (2.0 * delta * xc).sum(axis=1)
-    lr += (xi * log_lam - dlam).sum(axis=1)
-    lr += (xb * log_hi + (1 - xb) * log_lo).sum(axis=1)
-    return lr
-
-
-def _mixed_bayes_error(delta: float, n_draws: int, seed: int) -> float:
-    """Monte-Carlo Bayes risk of the two-component mixed design: the
-    reference against which ``_mixed_bayes_risk`` is tested."""
-    rng = seeded_rng(seed)
-    half = n_draws // 2
-    lam1, lam2 = 3.0 - delta, 3.0 + delta
-    xc = rng.standard_normal((half, 2)) - delta
-    xi = rng.poisson(lam1, size=(half, 2)).astype(float)
-    xb = rng.binomial(1, 0.3, size=(half, 2)).astype(float)
-    err1 = np.mean(_mixed_log_ratio(xc, xi, xb, delta) > 0)
-    xc = rng.standard_normal((half, 2)) + delta
-    xi = rng.poisson(lam2, size=(half, 2)).astype(float)
-    xb = rng.binomial(1, 0.7, size=(half, 2)).astype(float)
-    err2 = np.mean(_mixed_log_ratio(xc, xi, xb, delta) <= 0)
-    return 0.5 * float(err1 + err2)
-
-
 def _mixed_bayes_risk(delta: float) -> float:
     """Exact Bayes risk of the mixed design. Under component k the log ratio
     (2 over 1) of its six separating margins is (m2 - m1) S_c + c(S_i, S_b)

@@ -3,7 +3,9 @@
 These deliberately avoid the package's formulas: continuous and integer
 marginals are computed by adaptive quadrature of the prior-times-likelihood
 integrand, categorical marginals and the proportion factor by the sequential
-predictive (urn) product. Intended for small inputs (n <= ~25).
+predictive (urn) product. Intended for small inputs (n <= ~25). Below them,
+the cell-by-cell references for the vectorized EM kernels, and the
+Monte-Carlo Bayes risk of the mixed simulation design.
 """
 from __future__ import annotations
 
@@ -12,6 +14,10 @@ import math
 import numpy as np
 from scipy import integrate, optimize
 from scipy.special import gammaln
+
+from mixsel.data import CONT, INT
+from mixsel.densities import floor_probs, floor_rate, floor_sigma, normal_logpdf
+from mixsel.util import seeded_rng
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -121,3 +127,97 @@ def marginal_oracle(values_by_class, kind_tag, hyper_tuple, m=0) -> float:
             (a,) = hyper_tuple
             total += cat_marginal_urn([int(v) - 1 for v in vals], m, a)
     return total
+
+
+class UnsupportedValue(ValueError):
+    """Value outside the support of the declared variable kind."""
+
+
+class EmptyWeight(ValueError):
+    """All weights are zero."""
+
+
+def poisson_logpmf(x, rate):
+    return x * np.log(rate) - rate - gammaln(np.asarray(x, dtype=float) + 1.0)
+
+
+def log_density(value: float, kind, block: np.ndarray) -> float:
+    """Natural-log density (continuous) or mass (integer/categorical) of one
+    cell under the parameter block ``Parameters.block`` returns.
+
+    Raises UnsupportedValue when the value lies outside the kind's support.
+    """
+    if not np.isfinite(value):
+        raise UnsupportedValue(f"value {value!r} is not finite")
+    if kind.tag == CONT:
+        mu, sigma = float(block[0]), float(block[1])
+        return float(normal_logpdf(value, mu, sigma))
+    if kind.tag == INT:
+        if value < 0 or value != np.floor(value):
+            raise UnsupportedValue(f"{value!r} is not a nonnegative integer")
+        return float(poisson_logpmf(float(value), float(block[0])))
+    if value < 1 or value > kind.levels or value != np.floor(value):
+        raise UnsupportedValue(f"{value!r} is not a level in 1..{kind.levels}")
+    return float(np.log(block[int(value) - 1]))
+
+
+def weighted_mle(values: np.ndarray, weights: np.ndarray, kind) -> np.ndarray:
+    """Weighted maximum-likelihood parameter block for one column subset.
+
+    Only observed cells may be passed. The continuous variance uses the MLE
+    divisor (the sum of weights); all outputs are floored as the EM floors.
+    """
+    values = np.asarray(values, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    w = weights.sum()
+    if w <= 0:
+        raise EmptyWeight("sum of weights is zero")
+    if kind.tag == CONT:
+        mu = float((weights * values).sum() / w)
+        var = float((weights * (values - mu) ** 2).sum() / w)
+        return np.array([mu, float(floor_sigma(np.sqrt(max(var, 0.0))))])
+    if kind.tag == INT:
+        return np.array([float(floor_rate((weights * values).sum() / w))])
+    counts = np.zeros(kind.levels)
+    np.add.at(counts, values.astype(int) - 1, weights)
+    return floor_probs(counts, np.ones(kind.levels, dtype=bool))
+
+
+def column_loglik(dataset, j: int, rows, block: np.ndarray) -> float:
+    """Sum of log-densities of the observed cells of column j over ``rows``."""
+    rows = np.asarray(rows, dtype=np.intp)
+    obs = rows[dataset.mask[rows, j]]
+    kind = dataset.kinds[j]
+    total = 0.0
+    for i in obs:
+        total += log_density(float(dataset.X[i, j]), kind, block)
+    return total
+
+
+def mixed_log_ratio(xc, xi, xb, delta):
+    """Log density ratio (component 2 over component 1) of the six separating
+    margins of the mixed design."""
+    lam1, lam2 = 3.0 - delta, 3.0 + delta
+    log_lam, dlam = np.log(lam2 / lam1), lam2 - lam1
+    log_hi, log_lo = np.log(0.7 / 0.3), np.log(0.3 / 0.7)
+    lr = (2.0 * delta * xc).sum(axis=1)
+    lr += (xi * log_lam - dlam).sum(axis=1)
+    lr += (xb * log_hi + (1 - xb) * log_lo).sum(axis=1)
+    return lr
+
+
+def mixed_bayes_error(delta: float, n_draws: int, seed: int) -> float:
+    """Monte-Carlo Bayes risk of the two-component mixed design: the
+    reference against which ``simulate._mixed_bayes_risk`` is tested."""
+    rng = seeded_rng(seed)
+    half = n_draws // 2
+    lam1, lam2 = 3.0 - delta, 3.0 + delta
+    xc = rng.standard_normal((half, 2)) - delta
+    xi = rng.poisson(lam1, size=(half, 2)).astype(float)
+    xb = rng.binomial(1, 0.3, size=(half, 2)).astype(float)
+    err1 = np.mean(mixed_log_ratio(xc, xi, xb, delta) > 0)
+    xc = rng.standard_normal((half, 2)) + delta
+    xi = rng.poisson(lam2, size=(half, 2)).astype(float)
+    xb = rng.binomial(1, 0.7, size=(half, 2)).astype(float)
+    err2 = np.mean(mixed_log_ratio(xc, xi, xb, delta) <= 0)
+    return 0.5 * float(err1 + err2)

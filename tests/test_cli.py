@@ -191,3 +191,27 @@ def test_cluster_more_components_than_rows_exits_one(tmp_path, capsys, criterion
                  "--starts", "2", "--seed", "1", "--out", str(tmp_path / "run")])
     assert code == 1
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("csv_text, schema_text", [
+    ("x,k\n0.5,1\n1.5,nan\n2.5,4\n", None),
+    ("x,k\n0.5,1\n1.5,inf\n2.5,4\n", None),
+    ("x,c\n0.5,a\n1.5,a\n2.5,NA\n", None),
+    ("x,k\n0.5,1\n1.5,2\n2.5,4\n", "x:cont\n"),
+    ("x,k\n0.5,1\n1.5,2\n2.5,4\n", "x:cont\nk:real\n"),
+    ("x,k\n0.5,1\n1.5\n2.5,4\n", None),
+    ("x,x\n0.5,1\n1.5,2\n2.5,4\n", None),
+], ids=["nan-cell", "inf-cell", "one-level", "schema-missing-column",
+        "schema-unknown-kind", "ragged-row", "duplicate-name"])
+def test_cluster_invalid_input_exits_two_without_output(tmp_path, capsys, csv_text,
+                                                        schema_text):
+    data, out = tmp_path / "data.csv", tmp_path / "run"
+    data.write_text(csv_text)
+    args = ["cluster", str(data), "--seed", "1", "--out", str(out)]
+    if schema_text is not None:
+        (tmp_path / "data.schema").write_text(schema_text)
+        args += ["--schema", str(tmp_path / "data.schema")]
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()

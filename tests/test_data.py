@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from mixsel import (AllMissingColumn, DataError, Dataset, Hyperparameters, Model,
-                    NegativeInteger, OutOfRangeCategorical, VariableKind,
-                    observed_count, observed_count_in_class)
+                    NegativeInteger, OutOfRangeCategorical, VariableKind)
 from mixsel.io import infer_kind, read_csv, read_schema, write_csv, write_schema
 
 CONT = VariableKind.continuous()
@@ -13,7 +12,7 @@ INT = VariableKind.integer()
 def test_valid_small_dataset():
     ds = Dataset([[0.5, 1.0], [1.5, 2.0]], [CONT, VariableKind.categorical(2)])
     assert ds.n == 2 and ds.d == 2
-    assert not ds.has_missing
+    assert ds.mask.all()
 
 
 def test_all_missing_column_rejected():
@@ -34,16 +33,22 @@ def test_negative_integer_rejected():
         Dataset([[1.5]], [INT])
 
 
+def _observed_counts(ds, t):
+    """Observed cells per (class, continuous column) under the (g, n) weights
+    ``t``, as the engines count them: ``Packed.class_sums`` of the mask."""
+    return ds.packed().class_sums(t)["Mc"]
+
+
 def test_observed_counts():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(200, 1))
     ds = Dataset(X, [CONT])
-    assert observed_count(ds, 0) == 200
+    assert _observed_counts(ds, np.ones((1, ds.n)))[0, 0] == 200
 
     X = rng.normal(size=(10, 1))
     X[:3, 0] = np.nan
     ds = Dataset(X, [CONT])
-    assert observed_count(ds, 0) == 7
+    assert _observed_counts(ds, np.ones((1, ds.n)))[0, 0] == 7
 
     # per-class counts partition the column count for any labelling
     X = rng.normal(size=(40, 2))
@@ -52,20 +57,21 @@ def test_observed_counts():
     ds = Dataset(X, [CONT, CONT])
     z = rng.integers(1, 4, size=40)
     for j in range(2):
-        parts = sum(observed_count_in_class(ds, z, j, k) for k in (1, 2, 3))
-        assert parts == observed_count(ds, j)
+        parts = _observed_counts(ds, np.eye(3)[z - 1].T)[:, j].sum()
+        assert parts == _observed_counts(ds, np.ones((1, ds.n)))[0, j]
 
 
 def test_mask_defines_missingness():
     X = np.array([[1.0, 2.0], [3.0, 4.0]])
     mask = np.array([[True, False], [True, True]])
     ds = Dataset(X, [CONT, CONT], mask=mask)
-    assert np.isnan(ds.X[0, 1]) and ds.has_missing
+    assert np.isnan(ds.X[0, 1]) and not ds.mask.all()
 
 
 def test_model_invariants():
     m = Model(2, [1, 0, 1])
-    assert list(m.relevant) == [0, 2] and list(m.irrelevant) == [1]
+    assert list(np.flatnonzero(m.omega == 1)) == [0, 2]
+    assert list(np.flatnonzero(m.omega == 0)) == [1]
     with pytest.raises(ValueError):
         Model(0, [1])
     with pytest.raises(ValueError):
@@ -80,7 +86,7 @@ def test_hyperparameters_default_and_positivity():
     with pytest.raises(ValueError):
         Hyperparameters(u=0.0, cont_a=h.cont_a, cont_b=h.cont_b, cont_c=h.cont_c,
                         cont_d=h.cont_d, int_a=h.int_a, int_b=h.int_b,
-                        cat_a=h.cat_a, groups=h.groups)
+                        cat_a=h.cat_a)
 
 
 def test_kind_inference():

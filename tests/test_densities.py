@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from mixsel import (Dataset, EmptyWeight, Model, UnsupportedValue, VariableKind,
-                    column_loglik, e_step, em, log_density, m_step, weighted_mle)
+from mixsel import Dataset, Model, VariableKind, e_step, em, m_step
 from mixsel.densities import LOG_2PI, SIGMA_FLOOR, normal_logpdf
 from mixsel.simulate import MIXED_INDEP, ScenarioSpec, generate
+from oracles import (EmptyWeight, UnsupportedValue, column_loglik, log_density,
+                     weighted_mle)
 
 CONT = VariableKind.continuous()
 INT = VariableKind.integer()

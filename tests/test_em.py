@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from mixsel import (ColumnGroups, Dataset, EmConfig, Model, Parameters,
-                    VariableKind, column_loglik, e_step, m_step,
-                    observed_loglik, penalized_m_step, run_em,
-                    run_penalized_em)
+                    VariableKind, e_step, m_step, observed_loglik,
+                    penalized_m_step, run_em, run_penalized_em)
+from oracles import column_loglik, log_density, weighted_mle
 
 CONT = VariableKind.continuous()
 INT = VariableKind.integer()
@@ -247,7 +247,6 @@ def test_observed_loglik_matches_scalar_logsumexp():
     # categorical columns of 2 and 4 levels (so the padded one-hot has unused
     # levels), an integer and a continuous column, ~15% missing cells
     from scipy.special import logsumexp
-    from mixsel import log_density
     rng = np.random.default_rng(21)
     n = 50
     X = np.column_stack([rng.normal(1.0, 2.0, n), rng.poisson(4.0, n),
@@ -280,7 +279,6 @@ def test_penalized_m_step_rejects_g_mismatch():
 def test_shared_block_is_unit_weight_mle_of_observed_cells():
     # every column irrelevant: each component gets the one-class fit, which
     # must be the unit-weight MLE of the observed cells, in original units
-    from mixsel import weighted_mle
     ds = _mixed_dataset(seed=23, n=80, missing=0.2)
     assert 0.12 < 1.0 - ds.mask.mean() < 0.28
     fuzzy = np.random.default_rng(4).dirichlet([1, 1], ds.n)
@@ -298,7 +296,6 @@ def test_shared_block_is_unit_weight_mle_of_observed_cells():
 def test_m_step_zero_weight_cells_take_shared_block():
     # class 3 holds exactly the rows whose continuous, integer and categorical
     # cells are missing; the last column is observed everywhere
-    from mixsel import weighted_mle
     rng = np.random.default_rng(31)
     n = 45
     X = np.column_stack([rng.normal(5.0, 2.0, n), rng.poisson(3.0, n),
@@ -350,11 +347,11 @@ def test_single_kind_data_round_trips_through_the_public_operations(kind_tag, cr
     assert 0.05 < 1.0 - ds.mask.mean() < 0.15
     report = select_model(ds, criterion, 2, EmConfig(seed=3, n_starts=3))
     model = report.best.model
-    assert observed_loglik(ds, model, report.theta) == pytest.approx(report.best.loglik,
-                                                                     rel=1e-12)
-    t = e_step(ds, model, report.theta)
-    assert t.shape == (ds.n, report.g)
+    assert observed_loglik(ds, model, report.best.theta) == pytest.approx(
+        report.best.loglik, rel=1e-12)
+    t = e_step(ds, model, report.best.theta)
+    assert t.shape == (ds.n, report.best.g)
     assert np.allclose(t.sum(axis=1), 1.0, atol=1e-12)
     theta = m_step(ds, model, t)
-    assert theta.g == report.g
+    assert theta.g == report.best.g
     assert np.isfinite(observed_loglik(ds, model, theta))

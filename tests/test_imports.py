@@ -1,15 +1,18 @@
-"""No module of the package imports a name it never uses. ``__init__`` is
-exempt: its imports are the public API it re-exports. A stdlib ``ast`` check,
-since the project installs no linter."""
+"""No module of the package imports a name it never uses, and no public
+function or class of it goes unread. ``__init__`` is exempt: its imports are
+the public API it re-exports. Stdlib ``ast`` checks, since the project
+installs no linter."""
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "mixsel"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mixsel"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -35,6 +38,35 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def read_names(source: str) -> set:
+    """Names ``source`` reads: loaded names, attribute names, and string
+    constants (``perfbench/tracing.py`` names its targets as strings)."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def test_every_public_definition_has_a_reader():
+    # readers: the package's modules, the benchmark, and the README's code
+    # spans; a name only the tests read belongs in the tests
+    sources = [SRC / m for m in MODULES] + sorted((ROOT / "perfbench").glob("*.py"))
+    read = set().union(*(read_names(p.read_text(encoding="utf-8")) for p in sources))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for span in re.findall(r"```.*?```|`[^`\n]+`", readme, flags=re.S):
+        read.update(re.findall(r"[A-Za-z_]\w*", span))
+    unread = [f"{m}:{node.name}" for m in MODULES
+              for node in ast.parse((SRC / m).read_text(encoding="utf-8")).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in read]
+    assert unread == []
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

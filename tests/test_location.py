@@ -9,7 +9,7 @@ from mixsel.simulate import CONTINUOUS_TRIDIAG, ScenarioSpec, generate
 
 def _fit(ds, criterion):
     report = select_model(ds, criterion, 3, EmConfig(seed=3, n_starts=3))
-    return (report.g, report.best.model.omega.tolist(), report.partition.tolist(),
+    return (report.best.g, report.best.model.omega.tolist(), report.partition.tolist(),
             report.best.value)
 
 

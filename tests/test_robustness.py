@@ -24,7 +24,7 @@ def constant_column(request):
 
 def test_constant_column_is_irrelevant_and_changes_nothing_else(constant_column):
     _, _, base, with_const = constant_column
-    assert with_const.g == base.g
+    assert with_const.best.g == base.best.g
     assert with_const.best.model.omega[-1] == 0
     assert np.array_equal(with_const.best.model.omega[:-1], base.best.model.omega)
     assert ari(with_const.partition, base.partition) == 1.0
@@ -44,7 +44,7 @@ def test_constant_column_shifts_the_objective_by_its_own_term(constant_column):
     else:
         # an irrelevant column adds its global marginal to the MICL
         want = log_marginal_variable(ext, ext.d - 1, with_const.best.z_star,
-                                     with_const.g, 0, Hyperparameters.default(ext))
+                                     with_const.best.g, 0, Hyperparameters.default(ext))
         assert rise == pytest.approx(want, abs=1e-9)
 
 
@@ -66,7 +66,7 @@ def test_all_missing_rows_take_the_proportions(criterion):
     mask = ds.mask.copy()
     mask[blank] = False
     report = select_model(ds.replace_mask(mask), criterion, 3, SMALL)
-    tau = report.theta.tau
+    tau = report.best.theta.tau
     assert np.allclose(report.fuzzy[blank], tau, rtol=0.0, atol=1e-12)
     assert (report.partition[blank] == np.argmax(tau) + 1).all()
 
@@ -77,7 +77,7 @@ def test_row_order_does_not_change_the_selection(criterion):
     perm = np.random.default_rng(0).permutation(ds.n)
     shuffled = Dataset(ds.X[perm], ds.kinds, mask=ds.mask[perm], cat_labels=ds.cat_labels)
     base, other = select_model(ds, criterion, 3, SMALL), select_model(shuffled, criterion, 3, SMALL)
-    assert other.g == base.g
+    assert other.best.g == base.best.g
     assert np.array_equal(other.best.model.omega, base.best.model.omega)
     assert ari(base.partition[perm], other.partition) == 1.0
     if criterion == "micl":
@@ -102,7 +102,7 @@ def test_near_constant_column_changes_nothing_else(seed, eps):
     ext = Dataset(np.column_stack([ds.X, col]), ds.kinds + [VariableKind.continuous()],
                   cat_labels=ds.cat_labels)
     base, with_col = select_model(ds, "bic", 3, SMALL), select_model(ext, "bic", 3, SMALL)
-    assert with_col.g == base.g
+    assert with_col.best.g == base.best.g
     assert with_col.best.model.omega[-1] == 0
     assert np.array_equal(with_col.best.model.omega[:-1], base.best.model.omega)
     assert ari(with_col.partition, base.partition) == 1.0

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from mixsel import (InvalidShape, LengthMismatch, NoRoot, ScenarioSpec, ari,
                     calibrate_delta, gen_continuous, gen_mixed, generate,
                     inject_mcar)
-from mixsel.simulate import (CONTINUOUS_TRIDIAG, MIXED_INDEP,
-                             _mixed_bayes_error, _mixed_bayes_risk, _mixed_log_ratio,
+from mixsel.simulate import (CONTINUOUS_TRIDIAG, MIXED_INDEP, _mixed_bayes_risk,
                              _mixed_margins, _tridiag)
 from mixsel.util import seeded_rng
+from oracles import mixed_bayes_error, mixed_log_ratio
 
 
 def test_ari_reference_values():
@@ -61,7 +61,7 @@ def test_calibrate_delta_mixed_monte_carlo():
     delta = calibrate_delta(spec)
     assert 0.0 < delta < 3.0
     # verify with a fresh Monte-Carlo oracle draw
-    err = _mixed_bayes_error(delta, 1_000_000, seed=987654321)
+    err = mixed_bayes_error(delta, 1_000_000, seed=987654321)
     assert err == pytest.approx(0.10, abs=0.01)
 
 
@@ -164,7 +164,7 @@ def test_mixed_log_ratio_equals_axis_sums():
         want = (2.0 * delta * xc).sum(axis=1)
         want += (xi * np.log(lam2 / lam1) - (lam2 - lam1)).sum(axis=1)
         want += (xb * np.log(0.7 / 0.3) + (1 - xb) * np.log(0.3 / 0.7)).sum(axis=1)
-        assert np.array_equal(_mixed_log_ratio(xc, xi, xb, delta), want)
+        assert np.array_equal(mixed_log_ratio(xc, xi, xb, delta), want)
 
 
 def test_ari_single_row_is_degenerate_agreement():
@@ -190,7 +190,7 @@ def test_exact_mixed_risk_matches_monte_carlo(delta):
     exact = _mixed_bayes_risk(delta)
     n_draws = 1_000_000
     se = np.sqrt(exact * (1.0 - exact) / n_draws)
-    assert abs(_mixed_bayes_error(delta, n_draws, seed=2024) - exact) < 4.0 * se
+    assert abs(mixed_bayes_error(delta, n_draws, seed=2024) - exact) < 4.0 * se
 
 
 @pytest.mark.parametrize("target, want", [(0.01, 1.3679628), (0.02, 1.1979153),
