@@ -34,9 +34,8 @@ def map_partition(fuzzy: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GRecord:
-    """One (criterion, g) fit."""
+    """One fit of the g sweep."""
 
-    criterion: str
     g: int
     model: Model
     value: float
@@ -48,7 +47,6 @@ class GRecord:
 
 @dataclass
 class SelectionReport:
-    criterion: str
     records: list = field(default_factory=list)
     best: GRecord | None = None
     fuzzy: np.ndarray | None = None
@@ -72,7 +70,7 @@ def select_model(dataset: Dataset, criterion: str, g_max: int, config: EmConfig,
     if hyper is None and criterion in ("micl", "icl-noselect"):
         hyper = Hyperparameters.default(dataset)
     n = dataset.n
-    report = SelectionReport(criterion=criterion)
+    report = SelectionReport()
     em_results: dict[int, EmResult] = {}
     for g in range(1, g_max + 1):
         cfg = replace(config, seed=derive_seed(config.seed, 17, g))
@@ -81,13 +79,12 @@ def select_model(dataset: Dataset, criterion: str, g_max: int, config: EmConfig,
             c = 0.5 * np.log(n) if criterion == "bic" else 1.0
             res = run_penalized_em(dataset, g, float(c), cfg)
             em_results[g] = res
-            rec = GRecord(criterion, g, res.model, res.objective, res.loglik,
-                          res.theta, None, time.perf_counter() - t0)
+            rec = GRecord(g, res.model, res.objective, res.loglik, res.theta, None,
+                          time.perf_counter() - t0)
         elif criterion == "micl":
             mcfg = MiclConfig(seed=cfg.seed, n_starts=cfg.n_starts)
             model, z_star, value = run_micl(dataset, g, hyper, mcfg)
-            rec = GRecord(criterion, g, model, value, None, None, z_star,
-                          time.perf_counter() - t0)
+            rec = GRecord(g, model, value, None, None, z_star, time.perf_counter() - t0)
         else:
             model = Model(g, np.ones(dataset.d, dtype=np.int8))
             res = run_em(dataset, model, cfg)
@@ -97,8 +94,8 @@ def select_model(dataset: Dataset, criterion: str, g_max: int, config: EmConfig,
             else:
                 value = log_integrated_complete(dataset, map_partition(res.fuzzy),
                                                 model, hyper)
-            rec = GRecord(criterion, g, model, value, res.loglik, res.theta,
-                          None, time.perf_counter() - t0)
+            rec = GRecord(g, model, value, res.loglik, res.theta, None,
+                          time.perf_counter() - t0)
         report.records.append(rec)
     # records are in g order and max keeps the first of equal values
     report.best = max(report.records, key=lambda rec: rec.value)

@@ -11,8 +11,8 @@ Conventions shared by all engines:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from scipy.special import gammaln
 
 import numpy as np
 
@@ -332,10 +332,11 @@ class Packed:
         self.m = gr.cat_levels
         self.m_max = int(self.m.max()) if gr.n_cat else 0
         rows = [gr.n_cont] * 3 + [gr.n_int] * 3 + [gr.n_cat, gr.n_cat * self.m_max]
-        self._bounds = np.cumsum(rows)[:-1]
-        self.cells = np.zeros((sum(rows), self.n))
-        for name, block in zip(self.BLOCKS, np.split(self.cells, self._bounds)):
-            setattr(self, name, block)
+        ends = np.cumsum(rows).tolist()
+        self._slices = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
+        self.cells = np.zeros((ends[-1], self.n))
+        for name, block in zip(self.BLOCKS, self._slices):
+            setattr(self, name, self.cells[block])
         self.onehot = self.onehot.reshape(gr.n_cat, self.m_max, self.n)
         self.Mc[:], self.Mi[:], self.Mq[:] = MT[gr.cont], MT[gr.integer], MT[gr.cat]
         Xc = np.where(MT[gr.cont], XT[gr.cont], 0.0)
@@ -343,7 +344,9 @@ class Packed:
         np.subtract(Xc, self.shift[:, None], out=self.Xc, where=MT[gr.cont])
         np.multiply(self.Xc, self.Xc, out=self.Xc2)
         self.Xi[:] = np.where(MT[gr.integer], XT[gr.integer], 0.0)
-        np.multiply(gammaln(self.Xi + 1.0), self.Mi, out=self.lgam)
+        values, inverse = np.unique(self.Xi, return_inverse=True)  # ln x! per distinct x
+        log_fact = np.array([math.lgamma(v + 1.0) for v in values.tolist()])
+        np.multiply(log_fact[inverse].reshape(self.Xi.shape), self.Mi, out=self.lgam)
         self.lgam_rows = self.lgam.sum(axis=0)  # per row, read by every E step
         self.codes = np.where(MT[gr.cat], XT[gr.cat], 1.0).astype(np.intp) - 1
         levels = np.arange(self.m_max)
@@ -361,7 +364,7 @@ class Packed:
         sizes, and ``t @ M.T`` for every named matrix M, keyed by its name;
         ``onehot`` gives the (g, n_cat, m_max) level counts."""
         S = t @ self.cells.T
-        sums = dict(zip(self.BLOCKS, np.split(S, self._bounds, axis=1)))
+        sums = {name: S[:, block] for name, block in zip(self.BLOCKS, self._slices)}
         sums["onehot"] = sums["onehot"].reshape(len(t), self.groups.n_cat, self.m_max)
         sums["nk"] = t.sum(axis=1)
         return sums

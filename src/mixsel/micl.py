@@ -17,6 +17,13 @@ it builds the per-class sums with ``Packed.class_sums`` (the EM's M step uses
 the same builder), and ``log_integrated_complete`` and ``log_marginal_variable``
 read their values from a state built at the given partition.
 
+Under a hard partition every ln Gamma in a factor is taken at a hyperparameter
+plus an integer count, so ``MarginalTables`` tabulates them per column once
+(``math.lgamma``, counts 0..n + 1; a Poisson sum past ``LGAMMA_ROWS`` takes
+the Stirling series) and the factors read the tables. A row joining a class
+is scored in closed form on continuous columns (a rank-one update of the
+posterior scale) and categorical ones (ln(c + a) - ln(n + m·a)).
+
 The partition step is a greedy sweep of single-row moves in a random order.
 It scores the next rows of the order as one block against the current state
 (``MiclState.candidate_values`` on many rows is one numpy pass) and takes the
@@ -25,17 +32,19 @@ would have seen, so the blocked sweep makes the same moves.
 """
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from .data import Dataset, Hyperparameters, Model
 from .em import EmConfig, run_em
 from .util import derive_seed, seeded_rng
 
-LOG_PI = float(np.log(np.pi))
+LOG_PI = math.log(math.pi)
+HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+LGAMMA_ROWS = 1024       # ln Gamma(a + v) of a Poisson sum v is tabulated for v < 2^10
 SWEEP_CAP = 50           # greedy sweeps per partition step
 BLOCK_ROWS = 256         # rows scored per candidate_values pass of a sweep
 MAX_ALTERNATIONS = 100   # partition/model alternations per start
@@ -47,50 +56,86 @@ START_EM = EmConfig(seed=0, n_starts=1, max_iterations=200, rel_tolerance=1e-4)
 # closed-form per-class factors (vectorized over stat arrays)
 # ---------------------------------------------------------------------------
 
-def _phi_cont(n, s1, s2, a, b, c, d):
-    """Log marginal of one Gaussian cell group with n observed values,
-    sum s1 and sum of squares s2 (0 when n = 0)."""
-    n = np.asarray(n, dtype=float)
+def _lgamma_table(x, length, step=1.0):
+    """Rows ln Gamma(x_j + step * c), c < length, one per distinct x_j."""
+    uniq, inv = np.unique(x, return_inverse=True)
+    rows = [[math.lgamma(u + step * c) for c in range(length)] for u in uniq.tolist()]
+    return np.array(rows).reshape(len(uniq), length)[inv.ravel()]
+
+
+def _at(table, v):
+    """``table[j, v[..., j]]`` for the integer-valued ``v``, columns last."""
+    J, L = table.shape
+    return table.ravel().take(v.astype(np.intp) + np.arange(0, J * L, L))
+
+
+def _lgamma_at(table, a, v):
+    """ln Gamma(a_j + v) for integer-valued v >= 0: ``table`` (rows ln Gamma(a_j
+    + c)) below its length, the Stirling series (next term < 1e-24) above."""
+    out = _at(table, np.minimum(v, table.shape[1] - 1))
+    big = v >= table.shape[1]
+    if big.any():
+        x = (a + v)[big]
+        out[big] = ((x - 0.5) * np.log(x) - x + HALF_LOG_2PI
+                    + (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * x * x)) / (x * x)) / x)
+    return out
+
+
+def _posterior_scale(n, s1, s2, b2, c, d):
+    """B2 of the posterior sigma² ~ IG((a + n)/2, B2/2); b² when n = 0."""
     nsafe = np.where(n > 0, n, 1.0)
     xbar = s1 / nsafe
     ss = np.maximum(s2 - s1 * xbar, 0.0)
-    A = a + n
-    D = d + n
-    B2 = b * b + ss + (c - xbar) ** 2 / (1.0 / d + 1.0 / nsafe)
-    val = (-0.5 * n * LOG_PI + a * np.log(b) + 0.5 * np.log(d) - gammaln(0.5 * a)
-           + gammaln(0.5 * A) - 0.5 * A * np.log(B2) - 0.5 * np.log(D))
+    return np.where(n > 0, b2 + ss + (c - xbar) ** 2 / (1.0 / d + 1.0 / nsafe), b2)
+
+
+def _phi_cont(n, s1, s2, a, b2, c, d, G):
+    """Log marginal of one Gaussian cell group with n observed values,
+    sum s1 and sum of squares s2 (0 when n = 0)."""
+    val = _at(G, n) - 0.5 * (a + n) * np.log(_posterior_scale(n, s1, s2, b2, c, d))
     return np.where(n > 0, val, 0.0)
 
 
-def _phi_int(n, s, glg, a, b):
+def _phi_int(n, s, glg, a, b, const, LG):
     """Log marginal of one Poisson cell group: n observed values with sum s
     and sum of ln Gamma(x+1) equal to glg."""
-    n = np.asarray(n, dtype=float)
-    A = a + s
-    val = -glg + a * np.log(b) - gammaln(a) + gammaln(A) - A * np.log(b + n)
+    val = const - glg + _lgamma_at(LG, a, s) - (a + s) * np.log(b + n)
     return np.where(n > 0, val, 0.0)
 
 
-def _phi_cat(n, cnt, a, m, level_mask):
+def _phi_cat(n, cnt, a, ma, La, Lma):
     """Log marginal of one multinomial cell group: n observed values with
-    per-level counts ``cnt`` (last axis, padded)."""
-    n = np.asarray(n, dtype=float)
-    lev = np.where(level_mask, gammaln(cnt + a[..., None]), 0.0).sum(axis=-1)
-    val = gammaln(m * a) - m * gammaln(a) + lev - gammaln(n + m * a)
-    return np.where(n > 0, val, 0.0)
+    per-level counts ``cnt`` (last axis; a padded level counts 0 and adds 0)."""
+    lev = (_at(La, np.moveaxis(cnt, -1, 0)) - La[:, 0]).sum(axis=0)
+    return np.where(n > 0, lev + Lma[:, 0] - _at(Lma, n), 0.0)
 
 
-def _refit(factor, S, moved, base, *hyp):
-    """A factor's change when one cell moves: the factor at the moved class
-    sums minus the cached ``base``."""
-    return factor(*moved, *hyp) - base
+def _refit(factor, S, dx, base, *consts):
+    """A factor's change when its class sums ``S`` (factors ``base``) move by
+    ``dx``, a row's entries joining (+) or leaving (-) the class."""
+    return factor(*(s + dxs for s, dxs in zip(S, dx)), *consts) - base
 
 
-def _phi_cat_change(factor, S, moved, base, a, m, level_mask):
-    """``_phi_cat``'s change when one cell moves, from the sums read at the
-    cell's level (count, count of that level): only their two terms change."""
-    (n, c), (n2, c2) = S, moved
-    return gammaln(c2 + a) - gammaln(c + a) - gammaln(n2 + m * a) + gammaln(n + m * a)
+def _cont_up(factor, S, dx, base, a, b2, c, d, G):
+    """``_refit`` of ``_phi_cont`` for a joining value x: it updates the
+    posterior scale by rank one, B2 + D/(D+1)·(x - m)² with D = d + n and
+    m = (d·c + s1)/D. The count gains 1 even on a missing cell."""
+    n, s1, s2 = S
+    D = d + n
+    B2 = _posterior_scale(n, s1, s2, b2, c, d) + D / (D + 1.0) * (dx[1] - (d * c + s1) / D) ** 2
+    return (_at(G, n + 1.0) - base) - 0.5 * (a + n + 1.0) * np.log(B2)
+
+
+def _cat_up(factor, S, dx, base, a, ma, *tables):
+    """``_refit`` of ``_phi_cat`` for a joining row, from the count n and the
+    count c of the row's level."""
+    return np.log(S[1] + a) - np.log(S[0] + ma)
+
+
+def _cat_down(factor, S, dx, base, a, ma, *tables):
+    """``_refit`` of ``_phi_cat`` for a leaving row: ``_cat_up`` at the sums
+    without it, negated."""
+    return np.log(S[0] + dx[0] + ma) - np.log(S[1] + dx[1] + a)
 
 
 def _at_rows(s, J, lev, R, a):
@@ -106,41 +151,50 @@ def _at_rows(s, J, lev, R, a):
 
 def log_dirichlet_proportion_term(nk, u: float) -> float:
     """Log of the Dirichlet–multinomial factor of the component counts."""
-    nk = np.asarray(nk, dtype=float)
+    nk = np.asarray(nk, dtype=float).tolist()
     g = len(nk)
-    return float(gammaln(g * u) - g * gammaln(u)
-                 + gammaln(nk + u).sum() - gammaln(nk.sum() + g * u))
+    return (math.lgamma(g * u) - g * math.lgamma(u)
+            + sum(math.lgamma(v + u) for v in nk) - math.lgamma(sum(nk) + g * u))
 
 
 # ---------------------------------------------------------------------------
 # dataset-level constant tables
 # ---------------------------------------------------------------------------
 
-Kind = namedtuple("Kind", "cols keys factor hyp change level", defaults=[_refit, None])
+Kind = namedtuple("Kind", "cols keys factor consts up down level",
+                  defaults=[_refit, _refit, None])
 
 
 class MarginalTables:
     """Per-dataset constants used by the optimizer. ``kinds`` holds one
     ``Kind`` per column kind: its dataset columns, the ``Packed.class_sums``
-    keys its factor reads (observed count first), the factor, the per-column
-    hyperparameters, the factor's change when one cell moves, and, for a kind
-    whose last class sum has a level axis, each cell's level. ``glob`` holds,
-    per kind, the global (one-group) marginal of every column, which is what
-    an irrelevant column contributes for any partition. The continuous prior
-    mean ``c`` is shifted with ``Packed``'s centered cells, which leaves every
-    marginal unchanged."""
+    keys its factor reads (observed count first), the factor, its per-column
+    constants (one table row per column), the factor's changes when a row
+    joins a class and leaves its own, and, for a kind whose last class sum
+    has a level axis, each cell's level. ``glob`` holds, per kind, the global
+    (one-group) marginal of every column, which is what an irrelevant column
+    contributes for any partition. The continuous prior mean ``c`` is shifted
+    with ``Packed``'s centered cells, which leaves every marginal unchanged."""
 
     def __init__(self, dataset: Dataset, hyper: Hyperparameters):
         self.hyper = hyper
         p = dataset.packed()
         self.packed = p
         gr = p.groups
-        kinds = (
-            Kind(gr.cont, ("Mc", "Xc", "Xc2"), _phi_cont,
-                 (hyper.cont_a, hyper.cont_b, hyper.cont_c - p.shift, hyper.cont_d)),
-            Kind(gr.integer, ("Mi", "Xi", "lgam"), _phi_int, (hyper.int_a, hyper.int_b)),
-            Kind(gr.cat, ("Mq", "onehot"), _phi_cat, (hyper.cat_a, p.m.astype(float), p.level_mask),
-                 _phi_cat_change, p.codes))
+        count = np.arange(p.n + 2.0)  # a class count, the moving row included
+        a, b, d = hyper.cont_a, hyper.cont_b, hyper.cont_d
+        lg = _lgamma_table(0.5 * a, p.n + 2, 0.5)
+        G = (a * np.log(b) + 0.5 * np.log(d) - lg[:, 0])[:, None] + (
+            lg - 0.5 * (LOG_PI * count + np.log(d[:, None] + count)))
+        cont = (a, b * b, hyper.cont_c - p.shift, d, G)
+        a, b = hyper.int_a, hyper.int_b
+        lg = _lgamma_table(a, LGAMMA_ROWS)
+        integer = (a, b, a * np.log(b) - lg[:, 0], lg)
+        a, ma = hyper.cat_a, p.m * hyper.cat_a
+        cat = (a, ma, _lgamma_table(a, p.n + 2), _lgamma_table(ma, p.n + 2))
+        kinds = (Kind(gr.cont, ("Mc", "Xc", "Xc2"), _phi_cont, cont, _cont_up),
+                 Kind(gr.integer, ("Mi", "Xi", "lgam"), _phi_int, integer),
+                 Kind(gr.cat, ("Mq", "onehot"), _phi_cat, cat, _cat_up, _cat_down, p.codes))
         # a kind without columns would only add empty factor calls to each move
         self.kinds = tuple(kind for kind in kinds if kind.cols.size)
         # the global marginal is the per-class factor of the one-class partition
@@ -149,7 +203,7 @@ class MarginalTables:
     def factors(self, st: dict) -> tuple:
         """Per kind, the (g, ·) per-class factors of its columns from the
         class sums ``st`` (see ``Packed.class_sums``)."""
-        return tuple(k.factor(*(st[key] for key in k.keys), *k.hyp) for k in self.kinds)
+        return tuple(k.factor(*(st[key] for key in k.keys), *k.consts) for k in self.kinds)
 
 
 class MiclState:
@@ -157,13 +211,13 @@ class MiclState:
     cached per-column marginal factors, supporting O(1)-per-column single
     observation moves.
 
-    Every column kind has one move rule: its factor is a closed-form function
-    of its class sums, so a row that joins class k is scored at k's sums plus
-    the row's entries and a row that leaves class a at a's sums minus them;
-    a level count is read at the row's level only. ``candidate_values``
-    scores a block of rows against the frozen state in one pass over the
-    relevant columns, where a missing cell adds exactly 0; ``apply_move``
-    then moves the one row's entries between two classes.
+    Each column kind scores a row joining class k (``up``) from k's sums and
+    the row's entries, and a row leaving its class a (``down``) from a's sums
+    minus them: by refitting the factor or by a closed-form change; a level
+    count is read at the row's level only. ``candidate_values`` scores a
+    block of rows against the frozen state in one pass over the relevant
+    columns, where a missing cell adds exactly 0; ``apply_move`` then moves
+    the one row's entries between two classes.
     """
 
     def __init__(self, tables: MarginalTables, model: Model, zi: np.ndarray):
@@ -191,7 +245,7 @@ class MiclState:
     def _set_rel_masks(self):
         """Per kind, the relevance of its columns, and what ``candidate_values``
         reads of the relevant columns J: (J, each row's level in J or None,
-        the row's entry of each class sum the kind reads, hyperparameters).
+        the row's entry of each class sum the kind reads, constants).
         A row's entry of a level-count sum is its one-hot at its own level.
         The (n, J) cells are copied out of ``Packed``'s (columns, n) rows."""
         p = self.tables.packed
@@ -202,7 +256,7 @@ class MiclState:
             lev = None if kind.level is None else kind.level[J].T.copy()
             cells = [getattr(p, key) for key in kind.keys]
             cells = [c[J].T.copy() if c.ndim == 2 else c[J, lev, rows] for c in cells]
-            self._rel_cells.append((J, lev, cells, [v[J] for v in kind.hyp]))
+            self._rel_cells.append((J, lev, cells, [v[J] for v in kind.consts]))
 
     def _value(self) -> float:
         total = log_dirichlet_proportion_term(self.st["nk"], self.tables.hyper.u)
@@ -227,19 +281,15 @@ class MiclState:
         a = self.zi[R]
         vals = np.log(nk + u) - np.log(nk[a] - 1.0 + u)[:, None]
         rem = np.zeros(len(R))
-        for kind, phi, (J, lev, cells, hj) in zip(self.tables.kinds, self.phi, self._rel_cells):
+        for kind, phi, (J, lev, cells, cj) in zip(self.tables.kinds, self.phi, self._rel_cells):
             if J.size:
                 x = [c.take(R, axis=0) for c in cells]
                 obs = x[0] > 0
                 Sk, Sa = zip(*(_at_rows(self.st[key], J, lev, R, a) for key in kind.keys))
                 base = phi.take(J, axis=1)
-                # the count gains 1 whether or not the cell is observed: an
-                # unobserved cell's term is dropped below
-                moved = (Sk[0] + 1.0, *(s + xr[:, None] for s, xr in zip(Sk[1:], x[1:])))
-                up = kind.change(kind.factor, Sk, moved, base, *hj)
+                up = kind.up(kind.factor, Sk, [xr[:, None] for xr in x], base, *cj)
                 vals += np.where(obs[:, None, :], up, 0.0).sum(axis=2)
-                moved = [s - xr for s, xr in zip(Sa, x)]
-                down = kind.change(kind.factor, Sa, moved, base[a], *hj)
+                down = kind.down(kind.factor, Sa, [-xr for xr in x], base[a], *cj)
                 rem += np.where(obs, down, 0.0).sum(axis=1)
         vals = self.log_icl + vals + rem[:, None]
         vals[idx, a] = self.log_icl
@@ -382,4 +432,6 @@ def run_micl(dataset: Dataset, g: int, hyper: Hyperparameters,
             prev = state.log_icl
         if best is None or state.log_icl > best[2]:
             best = (state.model.copy(), state.z.copy(), state.log_icl)
-    return best
+    model, z, _ = best
+    # the value of a state built at the result, free of the rounding of the moves
+    return model, z, MiclState.from_partition(tables, model, z).log_icl

@@ -5,10 +5,11 @@ class-overlap knob calibrated to a target Bayes misclassification rate, plus
 MCAR masking."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import gammaln, ndtr, ndtri
 
 from .data import Dataset, Model, VariableKind
 from .util import derive_seed, seeded_rng
@@ -16,6 +17,8 @@ from .util import derive_seed, seeded_rng
 CONTINUOUS_TRIDIAG = "continuous-tridiag"
 MIXED_INDEP = "mixed-indep"
 R = 6  # class-separating columns of both designs; the other d - R are noise
+# ln s! for s < 80, the count sums of the mixed design's exact Bayes risk
+LOG_FACTORIAL = np.array([math.lgamma(s + 1.0) for s in range(80)])
 
 
 class LengthMismatch(ValueError):
@@ -115,9 +118,11 @@ def _mixed_bayes_risk(delta: float) -> float:
          + s_b * np.log(p2 / p1) + (2.0 - s_b) * np.log((1.0 - p2) / (1.0 - p1)))
     risk = 0.0
     for sign, m, lam, p in ((1.0, m1, l1, p1), (-1.0, m2, l2, p2)):
-        pmf = (np.exp(s_i * np.log(2.0 * lam) - 2.0 * lam - gammaln(s_i + 1.0))
+        pmf = (np.exp(s_i * np.log(2.0 * lam) - 2.0 * lam - LOG_FACTORIAL[:, None])
                * np.array([(1.0 - p) ** 2, 2.0 * p * (1.0 - p), p * p]))
-        tail = ndtr(sign * (c + 2.0 * m * (m2 - m1)) / (np.sqrt(2.0) * (m2 - m1)))
+        # Phi(y) = erfc(-y/√2)/2 at y = sign (c + 2 m (m2 - m1)) / (√2 (m2 - m1))
+        e = -sign * (c + 2.0 * m * (m2 - m1)) / (2.0 * (m2 - m1))
+        tail = 0.5 * np.frompyfunc(math.erfc, 1, 1)(e).astype(float)
         risk += 0.5 * float((pmf * tail).sum())
     return risk
 
@@ -132,12 +137,14 @@ def calibrate_delta(spec: ScenarioSpec) -> float:
     """
     if spec.family == CONTINUOUS_TRIDIAG:
         q = float(np.ones(R) @ np.linalg.solve(_tridiag(R, spec.rho), np.ones(R)))
-        return float(ndtri(1.0 - spec.target_error) / np.sqrt(q))
+        return NormalDist().inv_cdf(1.0 - spec.target_error) / math.sqrt(q)
     lo, hi = 1e-9, 3.0 - 1e-9
     if not _mixed_bayes_risk(hi) <= spec.target_error <= _mixed_bayes_risk(lo):
         raise NoRoot("target outside the reachable error range")
     for _ in range(64):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: no later step moves the bracket
+            break
         lo, hi = (mid, hi) if _mixed_bayes_risk(mid) > spec.target_error else (lo, mid)
     return 0.5 * (lo + hi)
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 import oracles
 from mixsel import micl
@@ -427,3 +428,60 @@ def test_all_missing_rows_change_only_the_class_sizes():
             assert np.array_equal(f, f0)
         assert state.log_icl == pytest.approx(
             MiclState(state.tables, state.model, state.zi).log_icl, abs=1e-9)
+
+
+# hyperparameters 0.005..50, log-spaced, and every half-integer up to 50
+HYPER = np.concatenate([np.geomspace(0.005, 50.0, 23), np.arange(0.5, 50.0, 0.5)])
+
+
+def assert_matches_gammaln(got, x):
+    """``got`` is ln Gamma(x) to 1e-13 relative, or 1e-12 absolute near the
+    zeros of ln Gamma at 1 and 2."""
+    want = gammaln(x)
+    assert np.all(np.abs(got - want) <= np.maximum(1e-13 * np.abs(want), 1e-12))
+
+
+def test_lgamma_tables_match_scipy():
+    for step in (1.0, 0.5):  # integer counts, and the continuous half-steps
+        table = micl._lgamma_table(HYPER, 2000, step)
+        assert_matches_gammaln(table, HYPER[:, None] + step * np.arange(2000))
+
+
+def test_lgamma_series_tail_matches_scipy():
+    table = micl._lgamma_table(HYPER, micl.LGAMMA_ROWS)
+    counts = np.concatenate([np.arange(micl.LGAMMA_ROWS - 50, micl.LGAMMA_ROWS + 50),
+                             np.geomspace(1.0, 1e7, 300).round()])
+    V = np.broadcast_to(counts[:, None], (len(counts), len(HYPER)))  # columns last
+    assert_matches_gammaln(micl._lgamma_at(table, HYPER, V), HYPER + V)
+
+
+def test_log_integrated_complete_with_counts_near_a_million():
+    """Class sums far past the Poisson table are read from the Stirling
+    series; the value matches a gammaln reference to the rounding of its
+    terms, and so do the candidate moves."""
+    rng = np.random.default_rng(25)
+    n, g = 30, 2
+    X = rng.poisson(1e6, (n, 2)).astype(float)
+    X[3, 0] = np.nan
+    ds = Dataset(X, [INT, INT])
+    h = Hyperparameters.default(ds)  # a = b = 1
+    z = rng.integers(1, g + 1, n)
+    model = Model(g, [1, 0])
+    want, scale = oracles.proportions_urn(z, g, h.u), 0.0
+    for j in range(2):
+        for k in range(1, g + 1) if model.omega[j] else [None]:
+            x = ds.X[ds.mask[:, j] & ((z == k) if k else True), j]
+            terms = [-gammaln(x + 1.0).sum(), -gammaln(1.0), gammaln(1.0 + x.sum()),
+                     -(1.0 + x.sum()) * math.log(1.0 + len(x))]
+            want += sum(terms)
+            scale += sum(map(abs, terms))
+    assert log_integrated_complete(ds, z, model, h) == \
+        pytest.approx(want, rel=0, abs=1e-14 * scale)
+    tables = MarginalTables(ds, h)
+    block = MiclState.from_partition(tables, model, z).candidate_values(np.arange(n))
+    for i in range(n):
+        for k in range(g):
+            zi = z - 1
+            zi[i] = k
+            want = MiclState(tables, model, zi).log_icl
+            assert block[i, k] == pytest.approx(want, rel=0, abs=1e-14 * scale), (i, k)

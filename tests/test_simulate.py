@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, ndtr, ndtri
 
 from mixsel import (InvalidShape, LengthMismatch, NoRoot, ScenarioSpec, ari,
                     calibrate_delta, gen_continuous, gen_mixed, generate,
@@ -63,6 +64,44 @@ def test_calibrate_delta_mixed_monte_carlo():
     # verify with a fresh Monte-Carlo oracle draw
     err = mixed_bayes_error(delta, 1_000_000, seed=987654321)
     assert err == pytest.approx(0.10, abs=0.01)
+
+
+def scipy_mixed_bayes_risk(delta):
+    """``_mixed_bayes_risk`` on scipy's ``ndtr`` and ``gammaln``."""
+    par = _mixed_margins(delta)
+    (m1, m2), (l1, l2), (p1, p2) = par["mu"], par["lam"], par["p2"]
+    s_i, s_b = np.arange(80.0)[:, None], np.arange(3.0)
+    c = (s_i * np.log(l2 / l1) - 2.0 * (l2 - l1) - (m2 * m2 - m1 * m1)
+         + s_b * np.log(p2 / p1) + (2.0 - s_b) * np.log((1.0 - p2) / (1.0 - p1)))
+    risk = 0.0
+    for sign, m, lam, p in ((1.0, m1, l1, p1), (-1.0, m2, l2, p2)):
+        pmf = (np.exp(s_i * np.log(2.0 * lam) - 2.0 * lam - gammaln(s_i + 1.0))
+               * np.array([(1.0 - p) ** 2, 2.0 * p * (1.0 - p), p * p]))
+        tail = ndtr(sign * (c + 2.0 * m * (m2 - m1)) / (np.sqrt(2.0) * (m2 - m1)))
+        risk += 0.5 * float((pmf * tail).sum())
+    return risk
+
+
+def test_mixed_bayes_risk_matches_scipy():
+    for delta in (1e-3, 0.1, 0.5, 1.0, 1.5, 2.0, 2.9):
+        assert _mixed_bayes_risk(delta) == pytest.approx(scipy_mixed_bayes_risk(delta),
+                                                         rel=1e-14, abs=0.0)
+
+
+def test_calibrate_delta_matches_scipy():
+    for rho in (-0.3, 0.0, 0.4):
+        q = float(np.ones(6) @ np.linalg.solve(_tridiag(6, rho), np.ones(6)))
+        for target in (0.001, 0.05, 0.2, 0.45):
+            spec = ScenarioSpec(CONTINUOUS_TRIDIAG, target_error=target, d=10, rho=rho)
+            assert calibrate_delta(spec) == pytest.approx(ndtri(1.0 - target) / np.sqrt(q),
+                                                          rel=1e-14, abs=0.0)
+    for target in (0.01, 0.05, 0.2):
+        lo, hi = 1e-9, 3.0 - 1e-9
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if scipy_mixed_bayes_risk(mid) > target else (lo, mid)
+        spec = ScenarioSpec(MIXED_INDEP, target_error=target, d=12)
+        assert calibrate_delta(spec) == pytest.approx(0.5 * (lo + hi), rel=1e-14, abs=0.0)
 
 
 def test_calibrate_delta_mixed_unreachable_target():
