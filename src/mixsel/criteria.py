@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import Dataset, Hyperparameters, Model, Parameters, count_params
 from .em import EmConfig, EmResult, run_em, run_penalized_em
-from .micl import MiclConfig, log_integrated_complete, run_micl
+from .micl import MarginalTables, MiclConfig, log_integrated_complete, run_micl
 from .util import derive_seed
 
 CRITERIA = ("bic", "aic", "micl", "bic-noselect", "icl-noselect")
@@ -69,6 +69,7 @@ def select_model(dataset: Dataset, criterion: str, g_max: int, config: EmConfig,
         raise ValueError("g_max must be >= 1")
     if hyper is None and criterion in ("micl", "icl-noselect"):
         hyper = Hyperparameters.default(dataset)
+    tables = MarginalTables(dataset, hyper) if criterion == "icl-noselect" else None
     n = dataset.n
     report = SelectionReport()
     em_results: dict[int, EmResult] = {}
@@ -93,7 +94,7 @@ def select_model(dataset: Dataset, criterion: str, g_max: int, config: EmConfig,
                 value = bic(res.loglik, count_params(model, dataset.kinds), n)
             else:
                 value = log_integrated_complete(dataset, map_partition(res.fuzzy),
-                                                model, hyper)
+                                                model, hyper, tables)
             rec = GRecord(g, model, value, res.loglik, res.theta, None,
                           time.perf_counter() - t0)
         report.records.append(rec)

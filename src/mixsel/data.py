@@ -347,7 +347,6 @@ class Packed:
         values, inverse = np.unique(self.Xi, return_inverse=True)  # ln x! per distinct x
         log_fact = np.array([math.lgamma(v + 1.0) for v in values.tolist()])
         np.multiply(log_fact[inverse].reshape(self.Xi.shape), self.Mi, out=self.lgam)
-        self.lgam_rows = self.lgam.sum(axis=0)  # per row, read by every E step
         self.codes = np.where(MT[gr.cat], XT[gr.cat], 1.0).astype(np.intp) - 1
         levels = np.arange(self.m_max)
         # zero on missing cells and padded levels

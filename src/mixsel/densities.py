@@ -29,10 +29,9 @@ def floor_probs(counts: np.ndarray, level_mask: np.ndarray) -> np.ndarray:
     ``counts`` has levels on the last axis; ``level_mask`` marks real levels
     when the axis is padded (padded entries stay exactly 0).
     """
-    counts = np.asarray(counts, dtype=float)
     counts = np.where(level_mask, counts, 0.0)
     total = counts.sum(axis=-1, keepdims=True)
-    nlev = np.broadcast_to(level_mask, counts.shape).sum(axis=-1, keepdims=True)
+    nlev = level_mask.sum(axis=-1, keepdims=True)
     p = np.where(total > 0, counts / np.where(total > 0, total, 1.0), 1.0 / nlev)
     p = np.where(level_mask, np.maximum(p, PROB_FLOOR), 0.0)
     return p / p.sum(axis=-1, keepdims=True)

@@ -16,11 +16,11 @@ An iteration is one M step (``_m_kernel``, where the penalized engine also
 re-chooses the relevance vector from the per-column Delta) and one E step
 (``_e_kernel``); the public ``e_step``, ``m_step`` and ``penalized_m_step``
 wrap the same kernels. The E kernel also yields the observed-data
-log-likelihood, which is all ``observed_loglik`` computes. The Gaussian
-per-cell log-densities are evaluated once per iteration, in the M step, and
-feed both the Delta and the next E step. Inside the engines n is the inner,
-contiguous axis: responsibilities are (g, n) and the Gaussian cells
-(g, n_cont, n); the public operations and ``EmResult`` take and give (n, g).
+log-likelihood, which is all ``observed_loglik`` computes. Its (g, n) log
+joint is one product of per-class coefficients with ``Packed.cells``, the
+mirror of ``Packed.class_sums``, and the Delta reads the class sums, so no
+per-cell density array is built. Inside the engines n is the inner axis:
+responsibilities are (g, n); the public operations take and give (n, g).
 
 The penalized engine maximizes `loglik - nu_m * c` jointly over the relevance
 vector and the parameters; `c = ln(n)/2` yields the BIC, `c = 1` the AIC.
@@ -92,11 +92,13 @@ class EmResult:
 # vectorized building blocks
 # ---------------------------------------------------------------------------
 
-def _cont_logdens(packed: Packed, mu, sigma) -> np.ndarray:
-    """(g, n_cont, n) Gaussian log-densities, class k at (mu[k], sigma[k]);
-    masked cells are 0."""
-    L = dens.normal_logpdf(packed.Xc, mu[:, :, None], sigma[:, :, None])
-    return np.multiply(L, packed.Mc, out=L)
+def _cont_moments(st: dict):
+    """(carries weight, weighted mean, pre-floor variance) per class and column."""
+    W = st["Mc"]
+    ok = W > WEIGHT_TOL
+    Wsafe = np.where(ok, W, 1.0)
+    mean = st["Xc"] / Wsafe
+    return ok, mean, np.maximum(st["Xc2"] / Wsafe - mean * mean, 0.0)
 
 
 def _per_class_blocks(packed: Packed, st: dict):
@@ -104,11 +106,8 @@ def _per_class_blocks(packed: Packed, st: dict):
     per-component MLE blocks (mu, sigma, rate, probs). Zero-weight cells carry
     no observed information: continuous and integer ones take the shared
     block (``_install``), categorical ones keep the uniform ``floor_probs``."""
-    Wc, S1, S2 = st["Mc"], st["Xc"], st["Xc2"]
-    ok = Wc > WEIGHT_TOL
-    Wsafe = np.where(ok, Wc, 1.0)
-    mu = S1 / Wsafe
-    sigma = dens.floor_sigma(np.sqrt(np.maximum(S2 / Wsafe - mu * mu, 0.0)))
+    ok, mu, var = _cont_moments(st)
+    sigma = dens.floor_sigma(np.sqrt(var))
     oki = st["Mi"] > WEIGHT_TOL
     rate = dens.floor_rate(st["Xi"] / np.where(oki, st["Mi"], 1.0))
     probs = dens.floor_probs(st["onehot"], packed.level_mask)
@@ -121,20 +120,19 @@ def _install(keep, blocks, shared):
     return tuple(np.where(k, b, s) for k, b, s in zip(keep, blocks, shared))
 
 
-def _weighted_loglik_by_column(packed: Packed, t: np.ndarray, st: dict,
-                               Lc: np.ndarray, rate, probs):
-    """(d,) expected log-likelihood per column at the given per-class blocks,
-    i.e. sum over classes and observed cells of t_ik * log f_kj.
-
-    The continuous part is evaluated cell by cell (``Lc`` at the per-class
-    blocks): the sufficient-statistic expansion of sum t (x - mu)^2 cancels
-    catastrophically once sigma sits on its floor.
-    """
+def _weighted_loglik_by_column(packed: Packed, st: dict, blocks):
+    """(d,) expected log-likelihood per column: the sum over classes and
+    observed cells of t_ik * log f_kj at the per-class ``blocks``, from the
+    class sums ``st`` of the weights t. A continuous column's sum of
+    t (x - mu)^2 is W (v + (mean - mu)^2), with v the pre-floor variance the
+    M step takes sigma from, so it cancels nothing the M step does not."""
+    mu, sigma, rate, probs = blocks
     gr = packed.groups
     out = np.zeros(packed.d)
-    out[gr.cont] = sum(Lc[k] @ t[k] for k in range(len(t)))
-    terms = st["Xi"] * np.log(rate) - st["Mi"] * rate
-    out[gr.integer] = terms.sum(axis=0) - packed.lgam.sum(axis=1)
+    W, (_, mean, var) = st["Mc"], _cont_moments(st)
+    out[gr.cont] = (-0.5 * W * (var + (mean - mu) ** 2) / (sigma * sigma)
+                    - W * (np.log(sigma) + 0.5 * dens.LOG_2PI)).sum(axis=0)
+    out[gr.integer] = (st["Xi"] * np.log(rate) - st["Mi"] * rate - st["lgam"]).sum(axis=0)
     lp = np.log(np.where(packed.level_mask, probs, 1.0))
     out[gr.cat] = (st["onehot"] * lp).sum(axis=(0, 2))
     return out
@@ -144,18 +142,14 @@ class OneClassFit(NamedTuple):
     """The one-component fit: the shared block of every irrelevant column."""
 
     blocks: tuple       # (mu, sigma, rate, probs) shaped as for g = 1, mu centered
-    Lc: np.ndarray      # (1, n_cont, n) per-cell Gaussian log-densities
     loglik: np.ndarray  # (d,) per-column log-likelihood
 
 
 def one_class_fit(packed: Packed) -> OneClassFit:
     """The per-class estimator at g = 1, on all-ones weights."""
-    t = np.ones((1, packed.n))
-    st = packed.class_sums(t)
-    _, (mu, sigma, rate, probs) = _per_class_blocks(packed, st)
-    Lc = _cont_logdens(packed, mu, sigma)
-    return OneClassFit((mu, sigma, rate, probs), Lc,
-                       _weighted_loglik_by_column(packed, t, st, Lc, rate, probs))
+    st = packed.class_sums(np.ones((1, packed.n)))
+    _, blocks = _per_class_blocks(packed, st)
+    return OneClassFit(blocks, _weighted_loglik_by_column(packed, st, blocks))
 
 
 def _install_omega(packed: Packed, omega, blocks):
@@ -192,20 +186,32 @@ def _spikes(packed: Packed, sigma, omega) -> np.ndarray:
     return (sigma <= dens.SIGMA_FLOOR) & rel & (sigma1 > 1e-6)
 
 
-def _e_kernel(packed: Packed, tau, blocks, Lc: np.ndarray):
-    """(g, n) responsibilities t_ki ∝ tau_k * prod of observed-cell densities
-    and the observed-data log-likelihood, from one stabilized log-space pass.
-    ``Lc`` holds the continuous per-cell log-densities at ``blocks``; the other
-    kinds add one matrix product each. Masked cells contribute 0."""
-    _, _, rate, probs = blocks
-    V = np.log(rate) @ packed.Xi
-    V -= rate @ packed.Mi
-    V -= packed.lgam_rows
-    V += Lc.sum(axis=1)
+def _log_joint(packed: Packed, blocks) -> np.ndarray:
+    """(g, n) sum of log f_k over each row's observed cells: one product of
+    per-class coefficients with ``Packed.cells`` (rows 0 on masked cells). The
+    Gaussian expansion over the Mc, Xc and Xc2 rows rounds at ~eps mu^2/sigma^2
+    per cell, so a pair whose mean lies over 1e3 sigmas from the column mean (on
+    the sigma floor, or collapsed onto duplicates) is added cell by cell."""
+    mu, sigma, rate, probs = blocks
+    g = len(mu)
+    by_cell = mu * mu > 1e6 * sigma * sigma
+    prec = np.where(by_cell, 0.0, 1.0 / (sigma * sigma))
+    const = np.where(by_cell, 0.0, np.log(sigma) + 0.5 * dens.LOG_2PI)
     # log-probabilities laid out like the padded one-hot, 0 on padding
     lp = np.log(np.where(packed.level_mask, probs, 1.0))
-    V += lp.reshape(len(tau), -1) @ packed.onehot.reshape(-1, packed.n)
-    V += np.log(tau)[:, None]
+    V = np.hstack([-0.5 * mu * mu * prec - const, mu * prec, -0.5 * prec,  # Packed.BLOCKS
+                   -rate, np.log(rate), -np.ones_like(rate),
+                   np.zeros((g, packed.groups.n_cat)), lp.reshape(g, -1)]) @ packed.cells
+    for k, j in zip(*np.nonzero(by_cell)):
+        V[k] += dens.normal_logpdf(packed.Xc[j], mu[k, j], sigma[k, j]) * packed.Mc[j]
+    return V
+
+
+def _e_kernel(packed: Packed, tau, blocks):
+    """(g, n) responsibilities t_ki ∝ tau_k * prod of observed-cell densities
+    and the observed-data log-likelihood, from one stabilized log-space pass
+    over ``_log_joint``. Masked cells contribute 0."""
+    V = _log_joint(packed, blocks) + np.log(tau)[:, None]
     vmax = V.max(axis=0)
     V -= vmax
     np.exp(V, out=V)
@@ -219,8 +225,7 @@ def _e_kernel_at(packed: Packed, theta: Parameters):
     probs = np.ones((theta.g, packed.groups.n_cat, packed.m_max))
     for j, m in enumerate(packed.m):
         probs[:, j, :m] = theta.probs[j]
-    blocks = (theta.mu - packed.shift, theta.sigma, theta.rate, probs)
-    return _e_kernel(packed, theta.tau, blocks, _cont_logdens(packed, *blocks[:2]))
+    return _e_kernel(packed, theta.tau, (theta.mu - packed.shift, theta.sigma, theta.rate, probs))
 
 
 def _m_kernel(packed: Packed, t: np.ndarray, omega, floor: bool,
@@ -235,28 +240,22 @@ def _m_kernel(packed: Packed, t: np.ndarray, omega, floor: bool,
     column is relevant iff Delta_j > 0. ``floor`` floors empty components
     and ``allow_spikes`` accepts variance spikes instead of raising.
 
-    Returns (tau, blocks, omega, Delta or None, the ``_cont_logdens`` of the
-    blocks for the next E step).
+    Returns (tau, blocks, omega, Delta or None).
     """
-    shared = packed.one_class
     st = packed.class_sums(t)
     tau = _tau_from_nk(st["nk"], packed.n, floor)
-    mu, sigma, rate, probs = _install(*_per_class_blocks(packed, st), shared.blocks)
-    Lc = _cont_logdens(packed, mu, sigma)
+    blocks = _install(*_per_class_blocks(packed, st), packed.one_class.blocks)
     delta = None
     if penalty_c is not None:
-        wll = _weighted_loglik_by_column(packed, t, st, Lc, rate, probs)
-        delta = wll - shared.loglik - (len(t) - 1.0) * packed.nu * penalty_c
+        wll = _weighted_loglik_by_column(packed, st, blocks)
+        delta = wll - packed.one_class.loglik - (len(t) - 1.0) * packed.nu * penalty_c
         omega = (delta > 0).astype(np.int8)
-    spiky = _spikes(packed, sigma, omega)
+    spiky = _spikes(packed, blocks[1], omega)
     if not allow_spikes and spiky.any():
         raise DegenerateComponent(
             f"variance spike at (component, column) = "
             f"{tuple(int(v) for v in np.argwhere(spiky)[0])}")
-    # shared columns take the one-class cells, as their blocks take its blocks
-    irr = omega[packed.groups.cont] == 0
-    Lc[:, irr] = shared.Lc[:, irr]
-    return tau, _install_omega(packed, omega, (mu, sigma, rate, probs)), omega, delta, Lc
+    return tau, _install_omega(packed, omega, blocks), omega, delta
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +293,8 @@ def penalized_m_step(dataset: Dataset, g: int, fuzzy: np.ndarray, c: float):
     if g != fuzzy.shape[1]:
         raise ValueError("fuzzy must have g columns")
     packed = dataset.packed()
-    tau, blocks, omega, delta, _ = _m_kernel(packed, fuzzy.T, None, False, False,
-                                             penalty_c=float(c))
+    tau, blocks, omega, delta = _m_kernel(packed, fuzzy.T, None, False, False,
+                                          penalty_c=float(c))
     return omega, _parameters(packed, tau, blocks), delta
 
 
@@ -333,14 +332,14 @@ def _em_sequence(packed: Packed, tau, blocks, omega: np.ndarray, cfg: EmConfig,
     re-optimized every M step and the objective is penalized.
     """
     g = len(tau)
-    t, _ = _e_kernel(packed, tau, blocks, _cont_logdens(packed, *blocks[:2]))
+    t, _ = _e_kernel(packed, tau, blocks)
     prev_obj = -np.inf
     trace = []
     converged = False
     model, penalty = None, 0.0
     for it in range(1, cfg.max_iterations + 1):
-        tau, blocks, omega, _, Lc = _m_kernel(packed, t, omega, floor, allow_spikes, penalty_c)
-        t, loglik = _e_kernel(packed, tau, blocks, Lc)
+        tau, blocks, omega, _ = _m_kernel(packed, t, omega, floor, allow_spikes, penalty_c)
+        t, loglik = _e_kernel(packed, tau, blocks)
         if model is None or (omega != model.omega).any():
             # the penalty only changes with omega
             model = Model(g, omega)

@@ -348,11 +348,13 @@ def log_marginal_variable(dataset: Dataset, j: int, z, g: int, omega_j: int,
     raise IndexError(f"column {j} out of range")
 
 
-def log_integrated_complete(dataset: Dataset, z, model: Model,
-                            hyper: Hyperparameters) -> float:
+def log_integrated_complete(dataset: Dataset, z, model: Model, hyper: Hyperparameters,
+                            tables: MarginalTables | None = None) -> float:
     """Closed-form log of the integrated complete-data likelihood: the value
-    of the optimizer's state at (model, z)."""
-    return MiclState.from_partition(MarginalTables(dataset, hyper), model, z).log_icl
+    of the optimizer's state at (model, z). ``tables`` is
+    ``MarginalTables(dataset, hyper)``, built once by a caller scoring many z."""
+    tables = MarginalTables(dataset, hyper) if tables is None else tables
+    return MiclState.from_partition(tables, model, z).log_icl
 
 
 def partition_step(state: MiclState, *, rng: np.random.Generator) -> MiclState:

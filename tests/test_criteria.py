@@ -82,3 +82,18 @@ def test_select_model_noselect_variants():
         report = select_model(ds, crit, 3, EmConfig(seed=5, n_starts=6))
         assert report.best.model.omega.all()
         assert report.best.g == 2
+
+
+def test_icl_noselect_builds_its_tables_once(monkeypatch):
+    import mixsel.criteria as criteria
+    from mixsel import Hyperparameters, log_integrated_complete
+    real, built = criteria.MarginalTables, []
+    monkeypatch.setattr(criteria, "MarginalTables", lambda *a: built.append(a) or real(*a))
+    rng = np.random.default_rng(8)
+    X = np.column_stack([rng.normal(3.0 * np.repeat([0, 1], 30), 1.0), rng.poisson(3.0, 60)])
+    ds = Dataset(X.astype(float), [CONT, INT])
+    report = select_model(ds, "icl-noselect", 3, EmConfig(seed=2, n_starts=3))
+    assert len(built) == 1
+    # the value of the shared tables is the one of tables built for the call alone
+    assert report.best.value == log_integrated_complete(
+        ds, report.partition, report.best.model, Hyperparameters.default(ds))

@@ -127,20 +127,7 @@ def test_normal_logpdf_one_buffer_is_bit_identical():
 def _mixed_set():
     ds, z, _ = generate(ScenarioSpec(MIXED_INDEP, n=80, d=12, target_error=0.05,
                                      missing_rate=0.2, seed=4))
-    return ds.packed(), z
-
-
-def test_cont_logdens_leaves_the_cells_alone():
-    packed, _ = _mixed_set()
-    before = packed.Xc.copy()
-    mu1, sigma1, _, _ = packed.one_class.blocks
-    mu = mu1 + np.array([[-0.5], [0.0], [0.5]])
-    sigma = sigma1 * np.array([[0.5], [1.0], [2.0]])
-    got = em._cont_logdens(packed, mu, sigma)
-    assert np.array_equal(packed.Xc, before)
-    assert got.shape == (3, packed.groups.n_cont, packed.n)  # (g, n_cont, n)
-    want = _textbook_logpdf(packed.Xc, mu[:, :, None], sigma[:, :, None]) * packed.Mc
-    assert np.array_equal(got, want)
+    return ds, z
 
 
 def _soft_weights(packed, z):
@@ -150,36 +137,65 @@ def _soft_weights(packed, z):
     return t
 
 
-def _check_m_kernel_cells(penalized):
-    packed, z = _mixed_set()
-    t = _soft_weights(packed, z)
+def _oracle_log_joint(ds, theta):
+    """(g, n) sum of each row's observed-cell log-densities, cell by cell."""
+    return np.array([[sum(log_density(ds.X[i, j], ds.kinds[j], theta.block(k, j))
+                          for j in np.flatnonzero(ds.mask[i]))
+                      for i in range(ds.n)] for k in range(theta.g)])
+
+
+def test_log_joint_is_the_cell_by_cell_sum():
+    # the plain engine keeps the true omega (continuous columns 0, 1
+    # relevant, 6, 7 shared); class 2 is then put on the sigma floor in the
+    # first continuous column, with its mean exactly on one observed cell
+    ds, z = _mixed_set()
+    packed = ds.packed()
     fixed = np.repeat(np.array([1, 0], dtype=np.int8), 6)
-    c = 0.5 * np.log(packed.n) if penalized else None
-    _, blocks, omega, _, Lc = em._m_kernel(packed, t, None if penalized else fixed,
-                                           True, True, penalty_c=c)
-    shared = omega[packed.groups.cont] == 0
+    tau, (mu, sigma, rate, probs), _, _ = em._m_kernel(
+        packed, _soft_weights(packed, z), fixed, True, True)
+    shared = fixed[packed.groups.cont] == 0
     assert shared.any() and not shared.all()
-    mu, sigma, _, _ = em._install(*em._per_class_blocks(packed, packed.class_sums(t)),
-                                  packed.one_class.blocks)
-    want = np.where(shared[:, None], packed.one_class.Lc, em._cont_logdens(packed, mu, sigma))
-    assert np.array_equal(Lc, want)
-    # the cells are those of the blocks handed to the E step
-    assert np.array_equal(Lc, em._cont_logdens(packed, *blocks[:2]))
+    assert (sigma[:, shared] == packed.one_class.blocks[1][:, shared]).all()
+    i = int(np.flatnonzero(packed.Mc[0])[0])
+    mu, sigma = mu.copy(), sigma.copy()
+    mu[1, 0], sigma[1, 0] = packed.Xc[0, i], SIGMA_FLOOR
+    blocks = (mu, sigma, rate, probs)
+    got = em._log_joint(packed, blocks)
+    assert got.shape == (2, packed.n)
+    theta = em._parameters(packed, tau, blocks)
+    theta.mu[1, 0] = ds.X[i, packed.groups.cont[0]]  # the cell, in original units
+    want = _oracle_log_joint(ds, theta)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    # the other observed cells of the floored column are far outside its spike
+    assert np.isfinite(got).all()
+    assert (got[1, np.flatnonzero(packed.Mc[0])[1:]] < -1e10).all()
 
 
-def test_m_kernel_swaps_in_the_shared_cells_like_where():
-    # the penalized engine picks its own omega
-    _check_m_kernel_cells(penalized=True)
-
-
-def test_m_kernel_fixed_omega_swaps_in_the_shared_cells_like_where():
-    # the plain engine keeps the true omega (continuous columns 0, 1 relevant,
-    # 6, 7 shared)
-    _check_m_kernel_cells(penalized=False)
+def test_delta_is_the_cell_by_cell_expected_loglik_gain():
+    ds, z = _mixed_set()
+    packed = ds.packed()
+    t = _soft_weights(packed, z)
+    c = 0.5 * np.log(packed.n)
+    tau, _, omega, delta = em._m_kernel(packed, t, None, True, True, penalty_c=c)
+    assert omega.any() and not omega.all()
+    st = packed.class_sums(t)
+    blocks = em._install(*em._per_class_blocks(packed, st), packed.one_class.blocks)
+    wll = em._weighted_loglik_by_column(packed, st, blocks)
+    theta = em._parameters(packed, tau, blocks)
+    shared = em._parameters(packed, [1.0], packed.one_class.blocks)
+    for j, kind in enumerate(ds.kinds):
+        obs = np.flatnonzero(ds.mask[:, j])
+        per_class = sum(t[k, i] * log_density(ds.X[i, j], kind, theta.block(k, j))
+                        for k in range(2) for i in obs)
+        one = sum(log_density(ds.X[i, j], kind, shared.block(0, j)) for i in obs)
+        assert wll[j] == pytest.approx(per_class, rel=1e-10, abs=0.0), j
+        want = per_class - one - packed.nu[j] * c
+        assert delta[j] == pytest.approx(want, rel=1e-10, abs=0.0), j
 
 
 def test_class_sums_one_product_matches_per_matrix_products():
-    packed, z = _mixed_set()
+    ds, z = _mixed_set()
+    packed = ds.packed()
     hard = np.zeros((2, packed.n))
     hard[z - 1, np.arange(packed.n)] = 1.0
     for t in (_soft_weights(packed, z), hard):

@@ -355,3 +355,29 @@ def test_single_kind_data_round_trips_through_the_public_operations(kind_tag, cr
     theta = m_step(ds, model, t)
     assert theta.g == report.best.g
     assert np.isfinite(observed_loglik(ds, model, theta))
+
+
+def _three_duplicate_pairs():
+    # the all-spiked set above: only the floored fallback start survives
+    return Dataset(np.array([[0], [0], [5], [5], [10], [10]], float), [CONT]), 3
+
+
+def _duplicates_far_from_the_mean():
+    # three copies of a cell ~1000 from the column mean: a class collapses
+    # onto them with sigma ~1.5e-5, the rounding of its variance, off the floor
+    rng = np.random.default_rng(1)
+    x = np.concatenate([rng.normal(0.0, 1.0, 40), np.full(3, 1000.123456)])
+    return Dataset(np.column_stack([x, rng.normal(0.0, 1.0, 43)]), [CONT, CONT]), 2
+
+
+@pytest.mark.parametrize("make", [_three_duplicate_pairs, _duplicates_far_from_the_mean])
+def test_collapsed_fit_loglik_matches_the_oracle(make):
+    from scipy.special import logsumexp
+    ds, g = make()
+    res = run_em(ds, Model(g, np.ones(ds.d)), EmConfig(seed=0, n_starts=g))
+    assert res.theta.sigma.min() < 1e-4
+    rows = [[np.log(res.theta.tau[k]) + sum(log_density(ds.X[i, j], CONT, res.theta.block(k, j))
+                                            for j in range(ds.d))
+             for k in range(g)] for i in range(ds.n)]
+    assert res.loglik == pytest.approx(float(logsumexp(np.array(rows), axis=1).sum()),
+                                       rel=1e-12)
