@@ -130,6 +130,46 @@ def _mixed_set():
     return ds, z
 
 
+def test_cont_logdens_leaves_the_cells_alone():
+    # three classes around the one-class fit, one pair on the sigma floor
+    # so the cell-by-cell path runs too
+    ds, _ = _mixed_set()
+    packed = ds.packed()
+    before = packed.cells.copy()
+    mu1, sigma1, rate1, probs1 = packed.one_class.blocks
+    mu = mu1 + np.array([[-0.5], [0.0], [0.5]])
+    sigma = sigma1 * np.array([[0.5], [1.0], [2.0]])
+    sigma[2, 1] = SIGMA_FLOOR
+    blocks = (mu, sigma, np.repeat(rate1, 3, axis=0), np.repeat(probs1, 3, axis=0))
+    got = em._log_joint(packed, blocks)
+    assert np.array_equal(packed.cells, before)
+    assert np.shares_memory(packed.Xc, packed.cells)
+    assert got.shape == (3, packed.n)
+    want = _oracle_log_joint(ds, em._parameters(packed, np.full(3, 1 / 3), blocks))
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_m_kernel_fixed_omega_swaps_in_the_shared_cells_like_where():
+    # the plain engine keeps the true omega (continuous columns 0, 1
+    # relevant, 6, 7 shared): every block of a shared column is the one-class
+    # block, every other the per-class one
+    ds, z = _mixed_set()
+    packed = ds.packed()
+    t = _soft_weights(packed, z)
+    fixed = np.repeat(np.array([1, 0], dtype=np.int8), 6)
+    _, blocks, omega, delta = em._m_kernel(packed, t, fixed, True, True)
+    assert np.array_equal(omega, fixed) and delta is None
+    gr = packed.groups
+    shared = [fixed[cols] == 0 for cols in (gr.cont, gr.cont, gr.integer, gr.cat)]
+    assert all(s.any() and not s.all() for s in shared)
+    per_class = em._install(*em._per_class_blocks(packed, packed.class_sums(t)),
+                            packed.one_class.blocks)
+    for s, got, mine, one in zip(shared, blocks, per_class, packed.one_class.blocks):
+        s = s.reshape(s.shape + (1,) * (got.ndim - 2))
+        assert np.array_equal(got, np.where(s, one, mine))
+        assert got.shape == mine.shape
+
+
 def _soft_weights(packed, z):
     """(g, n) responsibilities leaning 0.9 towards the labels ``z``."""
     t = np.full((2, packed.n), 0.1)
