@@ -15,7 +15,7 @@ import time
 
 from . import __version__
 from .criteria import CRITERIA, count_params, select_model
-from .data import DataError, Hyperparameters
+from .data import DataError
 from .em import EmConfig, EmError
 from .io import read_csv, read_partition, read_schema
 from .simulate import (CONTINUOUS_TRIDIAG, MIXED_INDEP, InvalidShape,
@@ -60,9 +60,8 @@ def cmd_cluster(args, argv) -> int:
     mid = _manifest_id(argv)
 
     cfg = EmConfig(seed=args.seed, n_starts=args.starts)
-    hyper = Hyperparameters.default(dataset)
     t0 = time.perf_counter()
-    report = select_model(dataset, args.criterion, args.gmax, cfg, hyper=hyper)
+    report = select_model(dataset, args.criterion, args.gmax, cfg)
     timings["fit"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

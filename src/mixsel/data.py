@@ -357,13 +357,15 @@ class Packed:
         from .em import one_class_fit  # local import: em imports this module
         self.one_class = one_class_fit(self)
 
+    def split(self, S: np.ndarray) -> dict:
+        """Views of the (g, D) class-sum block ``S``, one per named matrix,
+        keyed by its name; ``onehot`` gives the (g, n_cat, m_max) level counts."""
+        sums = {name: S[:, block] for name, block in zip(self.BLOCKS, self._slices)}
+        sums["onehot"] = sums["onehot"].reshape(len(S), self.groups.n_cat, self.m_max)
+        return sums
+
     def class_sums(self, t: np.ndarray) -> dict:
         """Per-class sums under the (g, n) weights ``t`` (responsibilities or
         a 0/1 hard partition), one product over ``cells``: ``nk`` the class
-        sizes, and ``t @ M.T`` for every named matrix M, keyed by its name;
-        ``onehot`` gives the (g, n_cat, m_max) level counts."""
-        S = t @ self.cells.T
-        sums = {name: S[:, block] for name, block in zip(self.BLOCKS, self._slices)}
-        sums["onehot"] = sums["onehot"].reshape(len(t), self.groups.n_cat, self.m_max)
-        sums["nk"] = t.sum(axis=1)
-        return sums
+        sizes, and ``t @ M.T`` for every named matrix M (``split``)."""
+        return {**self.split(t @ self.cells.T), "nk": t.sum(axis=1)}

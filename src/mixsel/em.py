@@ -271,6 +271,8 @@ def e_step(dataset: Dataset, model: Model, theta: Parameters) -> np.ndarray:
 def m_step(dataset: Dataset, model: Model, fuzzy: np.ndarray) -> Parameters:
     """Weighted MLE update: per-class blocks on relevant columns, the shared
     unweighted MLE on irrelevant ones, proportions from the soft counts."""
+    if fuzzy.shape[1] != model.g or len(model.omega) != dataset.d:
+        raise ValueError("fuzzy must have g columns and omega d entries")
     packed = dataset.packed()
     tau, blocks, *_ = _m_kernel(packed, fuzzy.T, model.omega, False, False)
     return _parameters(packed, tau, blocks)
@@ -420,4 +422,6 @@ def run_penalized_em(dataset: Dataset, g: int, c: float, config: EmConfig) -> Em
     """
     if c < 0:
         raise ValueError("penalty must be nonnegative")
+    if g < 1:
+        raise ValueError("g must be >= 1")
     return _run_starts(dataset, g, None, config, penalty_c=float(c))

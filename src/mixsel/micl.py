@@ -13,9 +13,10 @@ drop out of the sufficient statistics. An empty component contributes its
 prior normalization, i.e. exactly zero on the log scale.
 
 ``MiclState`` is the one evaluator of the integrated complete-data likelihood:
-it builds the per-class sums with ``Packed.class_sums`` (the EM's M step uses
-the same builder), and ``log_integrated_complete`` and ``log_marginal_variable``
-read their values from a state built at the given partition.
+its per-class sums are the product that ``Packed.class_sums`` forms for the
+EM's M step, split by ``Packed.split``, and ``log_integrated_complete`` and
+``log_marginal_variable`` read their values from a state built at the given
+1-based partition.
 
 Under a hard partition every ln Gamma in a factor is taken at a hyperparameter
 plus an integer count, so ``MarginalTables`` tabulates them per column once
@@ -28,7 +29,8 @@ The partition step is a greedy sweep of single-row moves in a random order.
 It scores the next rows of the order as one block against the current state
 (``MiclState.candidate_values`` on many rows is one numpy pass) and takes the
 first improving move; the rows before it saw the state a row-by-row sweep
-would have seen, so the blocked sweep makes the same moves.
+would have seen, so the blocked sweep makes the same moves. A move is one
+column update: the row's column of ``Packed.cells`` changes rows of the sums.
 """
 from __future__ import annotations
 
@@ -211,31 +213,35 @@ class MiclState:
     cached per-column marginal factors, supporting O(1)-per-column single
     observation moves.
 
+    Built from n labels ``z`` in 1..g and an omega of d entries (else
+    ``ValueError``). ``st`` holds the class sizes ``nk`` and the views
+    (``Packed.split``) of the (g, D) class-sum block ``S``.
+
     Each column kind scores a row joining class k (``up``) from k's sums and
     the row's entries, and a row leaving its class a (``down``) from a's sums
     minus them: by refitting the factor or by a closed-form change; a level
     count is read at the row's level only. ``candidate_values`` scores a
     block of rows against the frozen state in one pass over the relevant
     columns, where a missing cell adds exactly 0; ``apply_move`` then moves
-    the one row's entries between two classes.
+    the one row's column of ``Packed.cells`` between two rows of ``S``.
     """
 
-    def __init__(self, tables: MarginalTables, model: Model, zi: np.ndarray):
+    def __init__(self, tables: MarginalTables, model: Model, z):
+        p = tables.packed
+        z = np.asarray(z)
+        if z.shape != (p.n,) or not np.isin(z, np.arange(1, model.g + 1)).all() \
+                or model.omega.shape != (p.d,):
+            raise ValueError(f"need {p.n} labels in 1..{model.g} and {p.d} omega entries")
         self.tables = tables
         self.model = model.copy()
-        self.zi = np.asarray(zi, dtype=np.intp).copy()  # 0-based
-        p = tables.packed
+        self.zi = z.astype(np.intp) - 1  # 0-based, as the rows of S
         Z = np.zeros((model.g, p.n))
         Z[self.zi, np.arange(p.n)] = 1.0
-        self.st = p.class_sums(Z)
+        self.S = Z @ p.cells.T
+        self.st = {**p.split(self.S), "nk": Z.sum(axis=1)}
         self.phi = tables.factors(self.st)
         self._set_rel_masks()
         self.log_icl = self._value()
-
-    @classmethod
-    def from_partition(cls, tables: MarginalTables, model: Model, z) -> "MiclState":
-        """Build a state from 1-based hard labels."""
-        return cls(tables, model, np.asarray(z, dtype=np.intp) - 1)
 
     @property
     def z(self) -> np.ndarray:
@@ -266,26 +272,25 @@ class MiclState:
 
     # -- single-observation moves -------------------------------------------
 
-    def candidate_values(self, rows) -> np.ndarray:
-        """Objective value after reassigning each of ``rows`` alone to each
-        component, all scored against the current state: shape (B, g), or
-        (g,) for a scalar row (entry of the row's own component = current
-        value).
+    def candidate_values(self, rows: np.ndarray) -> np.ndarray:
+        """Objective value after reassigning each of ``rows`` (a 1-d block of
+        row indices) alone to each component, all scored against the current
+        state: shape (B, g), the entry of a row's own component being the
+        current value.
 
         One pass over the block: per kind, the (B, g, J) "up" factors (the
         row joins class k) and the (B, J) "down" factors (it leaves its own
         class) over the J relevant columns; a missing cell adds exactly 0."""
         nk, u = self.st["nk"], self.tables.hyper.u
-        R = np.atleast_1d(rows)
-        idx = np.arange(len(R))
-        a = self.zi[R]
+        idx = np.arange(len(rows))
+        a = self.zi[rows]
         vals = np.log(nk + u) - np.log(nk[a] - 1.0 + u)[:, None]
-        rem = np.zeros(len(R))
+        rem = np.zeros(len(rows))
         for kind, phi, (J, lev, cells, cj) in zip(self.tables.kinds, self.phi, self._rel_cells):
             if J.size:
-                x = [c.take(R, axis=0) for c in cells]
+                x = [c.take(rows, axis=0) for c in cells]
                 obs = x[0] > 0
-                Sk, Sa = zip(*(_at_rows(self.st[key], J, lev, R, a) for key in kind.keys))
+                Sk, Sa = zip(*(_at_rows(self.st[key], J, lev, rows, a) for key in kind.keys))
                 base = phi.take(J, axis=1)
                 up = kind.up(kind.factor, Sk, [xr[:, None] for xr in x], base, *cj)
                 vals += np.where(obs[:, None, :], up, 0.0).sum(axis=2)
@@ -293,22 +298,20 @@ class MiclState:
                 rem += np.where(obs, down, 0.0).sum(axis=1)
         vals = self.log_icl + vals + rem[:, None]
         vals[idx, a] = self.log_icl
-        return vals if np.ndim(rows) else vals[0]
+        return vals
 
-    def apply_move(self, i: int, k: int, new_value: float | None = None) -> None:
-        """Reassign observation i to component k (0-based) and update the
-        class sums, the two classes' factors and the cached objective."""
+    def apply_move(self, i: int, k: int, new_value: float) -> None:
+        """Reassign observation i to component k (0-based): move its column of
+        ``Packed.cells`` between two rows of ``S``, refit the two classes'
+        factors and take ``new_value`` (from ``candidate_values``) as the value."""
         a = self.zi[i]
         if k == a:
             return
-        if new_value is None:
-            new_value = float(self.candidate_values(i)[k])
         p = self.tables.packed
-        for key, S in self.st.items():
-            x = 1.0 if key == "nk" else getattr(p, key)[..., i]
-            S[a] -= x
-            S[k] += x
-        new = self.tables.factors({key: S[[a, k]] for key, S in self.st.items()})
+        self.S[a] -= p.cells[:, i]
+        self.S[k] += p.cells[:, i]
+        self.st["nk"][[a, k]] += (-1.0, 1.0)
+        new = self.tables.factors(p.split(self.S[[a, k]]))
         for phi, two in zip(self.phi, new):
             phi[[a, k]] = two
         self.zi[i] = k
@@ -340,7 +343,7 @@ def log_marginal_variable(dataset: Dataset, j: int, z, g: int, omega_j: int,
     per-component factors when the column is relevant, one global factor when
     it is not. Only observed cells enter the statistics."""
     model = Model(g, np.full(dataset.d, omega_j, dtype=np.int8))
-    state = MiclState.from_partition(MarginalTables(dataset, hyper), model, z)
+    state = MiclState(MarginalTables(dataset, hyper), model, z)
     for kind, phi, glob in zip(state.tables.kinds, state.phi, state.tables.glob):
         pos = np.flatnonzero(kind.cols == j)
         if pos.size:
@@ -354,7 +357,7 @@ def log_integrated_complete(dataset: Dataset, z, model: Model, hyper: Hyperparam
     of the optimizer's state at (model, z). ``tables`` is
     ``MarginalTables(dataset, hyper)``, built once by a caller scoring many z."""
     tables = MarginalTables(dataset, hyper) if tables is None else tables
-    return MiclState.from_partition(tables, model, z).log_icl
+    return MiclState(tables, model, z).log_icl
 
 
 def partition_step(state: MiclState, *, rng: np.random.Generator) -> MiclState:
@@ -419,12 +422,11 @@ def run_micl(dataset: Dataset, g: int, hyper: Hyperparameters,
     best: tuple | None = None
     for s in range(config.n_starts):
         rng = seeded_rng(config.seed, 91, s)
-        omega0 = rng.integers(0, 2, size=dataset.d).astype(np.int8) if g > 1 else \
-            np.zeros(dataset.d, dtype=np.int8)
+        omega0 = rng.integers(0, 2, size=dataset.d).astype(np.int8)
         fit = run_em(dataset, Model(g, omega0),
                      replace(START_EM, seed=derive_seed(config.seed, 92, s)))
         z0 = np.argmax(fit.fuzzy, axis=1) + 1
-        state = MiclState.from_partition(tables, Model(g, omega0), z0)
+        state = MiclState(tables, Model(g, omega0), z0)
         prev = state.log_icl
         for _ in range(MAX_ALTERNATIONS):
             partition_step(state, rng=rng)
@@ -436,4 +438,4 @@ def run_micl(dataset: Dataset, g: int, hyper: Hyperparameters,
             best = (state.model.copy(), state.z.copy(), state.log_icl)
     model, z, _ = best
     # the value of a state built at the result, free of the rounding of the moves
-    return model, z, MiclState.from_partition(tables, model, z).log_icl
+    return model, z, MiclState(tables, model, z).log_icl

@@ -276,6 +276,22 @@ def test_penalized_m_step_rejects_g_mismatch():
     assert theta.g == 2 and delta.shape == (ds.d,)
 
 
+def test_m_step_rejects_a_model_that_does_not_fit_the_input():
+    ds = _mixed_dataset(seed=16)
+    fuzzy = np.full((ds.n, 2), 0.5)
+    with pytest.raises(ValueError):
+        m_step(ds, Model(3, np.ones(ds.d)), fuzzy)
+    with pytest.raises(ValueError):
+        m_step(ds, Model(2, np.ones(ds.d + 1)), fuzzy)
+    assert m_step(ds, Model(2, np.ones(ds.d)), fuzzy).g == 2
+
+
+def test_run_penalized_em_rejects_zero_components():
+    ds = _mixed_dataset(seed=16)
+    with pytest.raises(ValueError):
+        run_penalized_em(ds, 0, 1.0, EmConfig(seed=0, n_starts=1))
+
+
 def test_shared_block_is_unit_weight_mle_of_observed_cells():
     # every column irrelevant: each component gets the one-class fit, which
     # must be the unit-weight MLE of the observed cells, in original units

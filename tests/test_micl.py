@@ -126,7 +126,7 @@ def test_log_integrated_complete_relabel_invariance():
 
 def _model_step(ds, z, g, h):
     """The optimizer's model step at a fixed partition, from all-relevant."""
-    state = MiclState.from_partition(MarginalTables(ds, h), Model(g, np.ones(ds.d)), z)
+    state = MiclState(MarginalTables(ds, h), Model(g, np.ones(ds.d)), z)
     state.model_update()
     return state.model.omega
 
@@ -159,6 +159,11 @@ def test_model_step_detects_separated_means():
     assert omega[0] == 1
 
 
+def _move(state, i, k):
+    """Reassign row i to class k (0-based) at the move's scored value."""
+    state.apply_move(i, k, float(state.candidate_values(np.array([i]))[0, k]))
+
+
 def test_partition_step_monotone_and_fixed_at_local_optimum():
     rng = np.random.default_rng(10)
     ds = _mixed_dataset(seed=10, n=20, missing=0.15)
@@ -168,7 +173,7 @@ def test_partition_step_monotone_and_fixed_at_local_optimum():
         g = int(rng.integers(1, 4))
         z = rng.integers(1, g + 1, size=ds.n)
         omega = rng.integers(0, 2, size=ds.d)
-        state = MiclState.from_partition(tables, Model(g, omega), z)
+        state = MiclState(tables, Model(g, omega), z)
         before = state.log_icl
         srng = np.random.default_rng(trial)
         partition_step(state, rng=srng)
@@ -188,7 +193,7 @@ def test_partition_step_reaches_enumeration_local_maximum():
     for z in itertools.product([1, 2], repeat=3):
         values[z] = log_integrated_complete(ds, np.array(z), model, h)
     for start in itertools.product([1, 2], repeat=3):
-        state = MiclState.from_partition(tables, model, np.array(start))
+        state = MiclState(tables, model, np.array(start))
         partition_step(state, rng=np.random.default_rng(0))
         final = tuple(state.z)
         # local maximum of the enumeration: no single reassignment improves
@@ -206,15 +211,14 @@ def test_incremental_statistics_match_recomputation():
     h = Hyperparameters.default(ds)
     tables = MarginalTables(ds, h)
     g = 3
-    state = MiclState.from_partition(tables, Model(g, [1, 1, 1]),
-                                     rng.integers(1, g + 1, size=ds.n))
+    state = MiclState(tables, Model(g, [1, 1, 1]), rng.integers(1, g + 1, size=ds.n))
     for _ in range(10_000):
         i = int(rng.integers(ds.n))
         k = int(rng.integers(g))
-        state.apply_move(i, k)
+        _move(state, i, k)
     assert state.log_icl == pytest.approx(
-        MiclState(state.tables, state.model, state.zi).log_icl, abs=1e-8)
-    fresh = MiclState(tables, state.model, state.zi)
+        MiclState(state.tables, state.model, state.z).log_icl, abs=1e-8)
+    fresh = MiclState(tables, state.model, state.z)
     assert state.st.keys() == fresh.st.keys()
     for key in ("nk", "Mc", "Mi", "Mq", "onehot"):  # counts
         assert np.allclose(state.st[key], fresh.st[key]), key
@@ -310,9 +314,9 @@ def _moved_state(seed, g=3, n=60):
     ds = _wide_mixed_dataset(seed, n, 0.2)
     tables = MarginalTables(ds, Hyperparameters.default(ds))
     omega = np.tile([1, 0, 1], 4)
-    state = MiclState.from_partition(tables, Model(g, omega), rng.integers(1, g + 1, n))
+    state = MiclState(tables, Model(g, omega), rng.integers(1, g + 1, n))
     for _ in range(300):
-        state.apply_move(int(rng.integers(n)), int(rng.integers(g)))
+        _move(state, int(rng.integers(n)), int(rng.integers(g)))
     return ds, tables, state
 
 
@@ -322,7 +326,7 @@ def test_blocked_candidate_values_equal_stacked_rows():
     rows = np.random.default_rng(18).permutation(ds.n)[:40]
     block = state.candidate_values(rows)
     assert block.shape == (40, 3)
-    stacked = np.stack([state.candidate_values(int(i)) for i in rows])
+    stacked = np.stack([state.candidate_values(np.array([i]))[0] for i in rows])
     assert np.array_equal(block, stacked)
 
 
@@ -334,7 +338,7 @@ def test_blocked_candidate_values_equal_rebuilt_states():
         for k in range(state.model.g):
             zi = state.zi.copy()
             zi[i] = k
-            want = MiclState(tables, state.model, zi).log_icl
+            want = MiclState(tables, state.model, zi + 1).log_icl
             assert block[b, k] == pytest.approx(want, rel=0, abs=1e-9), (i, k)
 
 
@@ -349,15 +353,15 @@ def test_candidate_values_with_many_levels_equal_rebuilt_states():
     X[rng.random(X.shape) < 0.2] = np.nan
     ds = Dataset(X, [CONT] + [VariableKind.categorical(m) for m in (3, 12, 50)])
     tables = MarginalTables(ds, Hyperparameters.default(ds))
-    state = MiclState.from_partition(tables, Model(g, [1, 1, 1, 1]), rng.integers(1, g + 1, n))
+    state = MiclState(tables, Model(g, [1, 1, 1, 1]), rng.integers(1, g + 1, n))
     for _ in range(100):
-        state.apply_move(int(rng.integers(n)), int(rng.integers(g)))
+        _move(state, int(rng.integers(n)), int(rng.integers(g)))
     block = state.candidate_values(np.arange(n))
     for i in range(n):
         for k in range(g):
             zi = state.zi.copy()
             zi[i] = k
-            want = MiclState(tables, state.model, zi).log_icl
+            want = MiclState(tables, state.model, zi + 1).log_icl
             assert block[i, k] == pytest.approx(want, rel=0, abs=1e-9), (i, k)
 
 
@@ -367,7 +371,7 @@ def _sequential_partition_step(state, rng):
     for _ in range(micl.SWEEP_CAP):
         moved = False
         for i in rng.permutation(n):
-            vals = state.candidate_values(int(i))
+            vals = state.candidate_values(np.array([i]))[0]
             k = int(np.argmax(vals))
             if vals[k] > vals[state.zi[i]]:
                 state.apply_move(int(i), k, float(vals[k]))
@@ -388,11 +392,57 @@ def test_blocked_partition_step_makes_the_sequential_moves(monkeypatch):
         g = int(rng.integers(1, 4))
         z = rng.integers(1, g + 1, size=ds.n)
         model = Model(g, rng.integers(0, 2, size=ds.d))
-        blocked = MiclState.from_partition(tables, model, z)
+        blocked = MiclState(tables, model, z)
         partition_step(blocked, rng=np.random.default_rng(trial))
-        reference = MiclState.from_partition(tables, model, z)
+        reference = MiclState(tables, model, z)
         _sequential_partition_step(reference, np.random.default_rng(trial))
         assert np.array_equal(blocked.z, reference.z), trial
+
+
+def test_one_block_update_matches_the_per_key_update():
+    """A move shifts one column of ``Packed.cells`` between two rows of the
+    (g, D) block ``S``; every class sum equals the per-key update, bit for
+    bit, and each one but ``nk`` is a view of ``S``."""
+    rng = np.random.default_rng(26)
+    ds = _wide_mixed_dataset(26, 60, 0.2)
+    p, g = ds.packed(), 3
+    state = MiclState(MarginalTables(ds, Hyperparameters.default(ds)),
+                      Model(g, np.tile([1, 0, 1], 4)), rng.integers(1, g + 1, ds.n))
+    sums = {key: s.copy() for key, s in state.st.items()}
+    assert len(sums) == len(p.BLOCKS) + 1
+    for _ in range(1000):
+        i, k = int(rng.integers(ds.n)), int(rng.integers(g))
+        a = state.zi[i]
+        _move(state, i, k)
+        if k != a:
+            for key, s in sums.items():
+                x = 1.0 if key == "nk" else getattr(p, key)[..., i]
+                s[a] -= x
+                s[k] += x
+        for key, s in sums.items():
+            assert np.array_equal(state.st[key], s), key
+    for key, s in state.st.items():
+        assert (key == "nk") != np.shares_memory(s, state.S), key
+
+
+@pytest.mark.parametrize("z, omega", [
+    ([0, 2] + [1, 2] * 4, [1, 0, 1]),     # 0 would wrap to class g
+    ([1.5, 2] + [1, 2] * 4, [1, 0, 1]),   # 1.5 would truncate to 1
+    ([3, 2] + [1, 2] * 4, [1, 0, 1]),
+    ([1, 2] * 4 + [1], [1, 0, 1]),        # n - 1 labels
+    ([1, 2] * 5, [1, 0, 1, 1]),           # d + 1 omega entries
+])
+def test_state_rejects_labels_outside_one_to_g(z, omega):
+    ds = _mixed_dataset(seed=24, n=10)
+    h = Hyperparameters.default(ds)
+    model = Model(2, omega)
+    with pytest.raises(ValueError):
+        MiclState(MarginalTables(ds, h), model, z)
+    with pytest.raises(ValueError):
+        log_integrated_complete(ds, z, model, h)
+    if len(omega) == ds.d:
+        with pytest.raises(ValueError):
+            log_marginal_variable(ds, 0, z, 2, 1, h)
 
 
 def test_micl_config_rejects_zero_starts():
@@ -408,26 +458,26 @@ def test_all_missing_rows_change_only_the_class_sizes():
     h = Hyperparameters.default(ds)
     g = 3
     rng = np.random.default_rng(22)
-    state = MiclState.from_partition(MarginalTables(ds, h), Model(g, np.ones(ds.d)),
-                                     rng.integers(1, g + 1, ds.n))
+    state = MiclState(MarginalTables(ds, h), Model(g, np.ones(ds.d)),
+                      rng.integers(1, g + 1, ds.n))
     for i in (3, 7):
         a = int(state.zi[i])
         nk = state.st["nk"]
         # every cell of the row is missing, so only the proportion term moves
         want = state.log_icl + (np.log(nk + h.u) - np.log(nk[a] - 1.0 + h.u))
         want[a] = state.log_icl
-        assert np.array_equal(state.candidate_values(i), want)
+        assert np.array_equal(state.candidate_values(np.array([i]))[0], want)
         k = (a + 1) % g
         sums = {key: s.copy() for key, s in state.st.items()}
         phi = [f.copy() for f in state.phi]
-        state.apply_move(i, k)
+        _move(state, i, k)
         sums["nk"][[a, k]] += (-1.0, 1.0)
         for key, s in state.st.items():
             assert np.array_equal(s, sums[key]), key
         for f, f0 in zip(state.phi, phi, strict=True):
             assert np.array_equal(f, f0)
         assert state.log_icl == pytest.approx(
-            MiclState(state.tables, state.model, state.zi).log_icl, abs=1e-9)
+            MiclState(state.tables, state.model, state.z).log_icl, abs=1e-9)
 
 
 # hyperparameters 0.005..50, log-spaced, and every half-integer up to 50
@@ -478,10 +528,10 @@ def test_log_integrated_complete_with_counts_near_a_million():
     assert log_integrated_complete(ds, z, model, h) == \
         pytest.approx(want, rel=0, abs=1e-14 * scale)
     tables = MarginalTables(ds, h)
-    block = MiclState.from_partition(tables, model, z).candidate_values(np.arange(n))
+    block = MiclState(tables, model, z).candidate_values(np.arange(n))
     for i in range(n):
         for k in range(g):
             zi = z - 1
             zi[i] = k
-            want = MiclState(tables, model, zi).log_icl
+            want = MiclState(tables, model, zi + 1).log_icl
             assert block[i, k] == pytest.approx(want, rel=0, abs=1e-14 * scale), (i, k)
