@@ -10,15 +10,15 @@ import numpy as np
 
 from .criteria import CRITERIA, select_model
 from .em import EmConfig
-from .simulate import ScenarioSpec, ari, generate
+from .simulate import ScenarioSpec, ari, calibrate_delta, generate
 from .util import derive_seed, parallel_map
 
 
 def run_replicate(job: tuple) -> list:
     """One replicate of a campaign; a top-level function so pools can pickle it."""
-    spec, rep, criteria, gmax, starts = job
+    spec, rep, criteria, gmax, starts, delta = job
     spec_rep = replace(spec, seed=derive_seed(spec.seed, 51, rep))
-    dataset, z_true, _ = generate(spec_rep)
+    dataset, z_true, _ = generate(spec_rep, delta)
     records = []
     for crit in criteria:
         cfg = EmConfig(seed=derive_seed(spec.seed, 52, rep, CRITERIA.index(crit)),
@@ -43,7 +43,8 @@ def run_campaign(spec: ScenarioSpec, criteria, replicates: int, gmax: int = 3,
     for crit in criteria:
         if crit not in CRITERIA:
             raise ValueError(f"unknown criterion {crit!r}")
-    jobs = [(spec, rep, tuple(criteria), gmax, starts) for rep in range(replicates)]
+    delta = calibrate_delta(spec)
+    jobs = [(spec, rep, tuple(criteria), gmax, starts, delta) for rep in range(replicates)]
     per_rep = parallel_map(run_replicate, jobs, threads=threads)
     records = [rec for recs in per_rep for rec in recs]
     return records, summarize(records)

@@ -69,7 +69,7 @@ def select_model(dataset: Dataset, criterion: str, g_max: int, config: EmConfig,
         raise ValueError("g_max must be >= 1")
     if hyper is None and criterion in ("micl", "icl-noselect"):
         hyper = Hyperparameters.default(dataset)
-    tables = MarginalTables(dataset, hyper) if criterion == "icl-noselect" else None
+    tables = MarginalTables(dataset, hyper) if criterion in ("micl", "icl-noselect") else None
     n = dataset.n
     report = SelectionReport()
     em_results: dict[int, EmResult] = {}
@@ -84,7 +84,7 @@ def select_model(dataset: Dataset, criterion: str, g_max: int, config: EmConfig,
                           time.perf_counter() - t0)
         elif criterion == "micl":
             mcfg = MiclConfig(seed=cfg.seed, n_starts=cfg.n_starts)
-            model, z_star, value = run_micl(dataset, g, hyper, mcfg)
+            model, z_star, value = run_micl(dataset, g, hyper, mcfg, tables)
             rec = GRecord(g, model, value, None, None, z_star, time.perf_counter() - t0)
         else:
             model = Model(g, np.ones(dataset.d, dtype=np.int8))

@@ -5,22 +5,26 @@ excluded through 0/1 mask matrices, so with a fully observed dataset the
 arithmetic reduces exactly to the complete-data formulas.
 
 The shared block of an irrelevant column (and of a zero-weight cell) is the
-per-class estimator run at g = 1 (``one_class_fit``), so no path treats g = 1
-apart. From ``_init_theta`` to the returned fit the engines keep one layout:
+per-class estimator run at g = 1 (``one_class_fit``), so at g = 1 no column
+is relevant. From ``_init_theta`` to the returned fit the engines keep one layout:
 ``tau`` and the ``(mu, sigma, rate, probs)`` blocks, the means centered like
 ``Packed``'s cells and the probabilities padded to (g, n_cat, m_max).
 ``Parameters`` is built only at the API boundary: ``_parameters`` makes one
 per returned ``EmResult``, and ``_e_kernel_at`` reads one back.
 
-An iteration is one M step (``_m_kernel``, where the penalized engine also
+An iteration is one M step (``_m_slots``, where the penalized engine also
 re-chooses the relevance vector from the per-column Delta) and one E step
 (``_e_kernel``); the public ``e_step``, ``m_step`` and ``penalized_m_step``
-wrap the same kernels. The E kernel also yields the observed-data
-log-likelihood, which is all ``observed_loglik`` computes. Its (g, n) log
-joint is one product of per-class coefficients with ``Packed.cells``, the
-mirror of ``Packed.class_sums``, and the Delta reads the class sums, so no
-per-cell density array is built. Inside the engines n is the inner axis:
-responsibilities are (g, n); the public operations take and give (n, g).
+run the same kernels. The E kernel also yields the observed-data
+log-likelihood, which is all ``observed_loglik`` computes. Its log joint is
+one product of per-class coefficients with ``Packed.cells``, the mirror of
+``Packed.class_sums``, and the Delta reads the class sums, so no per-cell
+density array is built. The random starts of one fit run as slots of one
+stack (``_em_slots``): S live starts are S·g rows of every class-axis array,
+so these two products serve them all, and only the per-start reductions
+(proportions, log-sum-exp, the Delta's sum over classes, spikes) see
+(S, g, ·). Inside the engines n is the inner axis: responsibilities are
+(S·g, n); the public operations take and give (n, g).
 
 The penalized engine maximizes `loglik - nu_m * c` jointly over the relevance
 vector and the parameters; `c = ln(n)/2` yields the BIC, `c = 1` the AIC.
@@ -120,21 +124,23 @@ def _install(keep, blocks, shared):
     return tuple(np.where(k, b, s) for k, b, s in zip(keep, blocks, shared))
 
 
-def _weighted_loglik_by_column(packed: Packed, st: dict, blocks):
-    """(d,) expected log-likelihood per column: the sum over classes and
-    observed cells of t_ik * log f_kj at the per-class ``blocks``, from the
-    class sums ``st`` of the weights t. A continuous column's sum of
-    t (x - mu)^2 is W (v + (mean - mu)^2), with v the pre-floor variance the
-    M step takes sigma from, so it cancels nothing the M step does not."""
+def _weighted_loglik_by_column(packed: Packed, st: dict, blocks, g: int):
+    """(S, d) expected log-likelihood per slot of g classes and column: the sum
+    over its classes and observed cells of t_ik * log f_kj at the per-class
+    ``blocks``, from the class sums ``st`` of the weights t. A continuous
+    column's sum of t (x - mu)^2 is W (v + (mean - mu)^2), with v the pre-floor
+    variance the M step takes sigma from, so it cancels nothing it does not."""
     mu, sigma, rate, probs = blocks
     gr = packed.groups
-    out = np.zeros(packed.d)
     W, (_, mean, var) = st["Mc"], _cont_moments(st)
-    out[gr.cont] = (-0.5 * W * (var + (mean - mu) ** 2) / (sigma * sigma)
-                    - W * (np.log(sigma) + 0.5 * dens.LOG_2PI)).sum(axis=0)
-    out[gr.integer] = (st["Xi"] * np.log(rate) - st["Mi"] * rate - st["lgam"]).sum(axis=0)
+    S = len(W) // g
+    out = np.zeros((S, packed.d))
+    out[:, gr.cont] = (-0.5 * W * (var + (mean - mu) ** 2) / (sigma * sigma) - W * (
+        np.log(sigma) + 0.5 * dens.LOG_2PI)).reshape(S, g, gr.n_cont).sum(axis=1)
+    out[:, gr.integer] = (st["Xi"] * np.log(rate) - st["Mi"] * rate
+                          - st["lgam"]).reshape(S, g, gr.n_int).sum(axis=1)
     lp = np.log(np.where(packed.level_mask, probs, 1.0))
-    out[gr.cat] = (st["onehot"] * lp).sum(axis=(0, 2))
+    out[:, gr.cat] = (st["onehot"] * lp).reshape(S, g, gr.n_cat, packed.m_max).sum(axis=(1, 3))
     return out
 
 
@@ -149,15 +155,21 @@ def one_class_fit(packed: Packed) -> OneClassFit:
     """The per-class estimator at g = 1, on all-ones weights."""
     st = packed.class_sums(np.ones((1, packed.n)))
     _, blocks = _per_class_blocks(packed, st)
-    return OneClassFit(blocks, _weighted_loglik_by_column(packed, st, blocks))
+    return OneClassFit(blocks, _weighted_loglik_by_column(packed, st, blocks, 1)[0])
+
+
+def _relevant_rows(omega, rows: int) -> np.ndarray:
+    """(rows, d) relevance: each slot's row of the (S, d) ``omega`` per class."""
+    return np.repeat(omega == 1, rows // len(omega), axis=0)
 
 
 def _install_omega(packed: Packed, omega, blocks):
-    """Per-class blocks on the columns ``omega`` marks relevant, the shared
-    block of the one-class fit everywhere else."""
+    """Per-class blocks on the columns the (S, d) ``omega`` marks relevant in
+    each slot, the shared block of the one-class fit everywhere else."""
     gr = packed.groups
-    rel = [omega[cols] == 1 for cols in (gr.cont, gr.cont, gr.integer, gr.cat[:, None])]
-    return _install(rel, blocks, packed.one_class.blocks)
+    rel = _relevant_rows(omega, len(blocks[0]))
+    return _install([rel[:, cols] for cols in (gr.cont, gr.cont, gr.integer, gr.cat[:, None])],
+                    blocks, packed.one_class.blocks)
 
 
 def _parameters(packed: Packed, tau, blocks) -> Parameters:
@@ -168,20 +180,12 @@ def _parameters(packed: Packed, tau, blocks) -> Parameters:
                       [probs[:, j, :m] for j, m in enumerate(packed.m)], packed.groups)
 
 
-def _tau_from_nk(nk: np.ndarray, n: int, floor: bool):
-    if (nk < EMPTY_COMPONENT_TOL).any():
-        if not floor:
-            raise EmptyComponent(int(np.argmin(nk)))
-        nk = np.maximum(nk, 1e-10)
-    return nk / nk.sum() if floor else nk / n
-
-
 def _spikes(packed: Packed, sigma, omega) -> np.ndarray:
-    """(g, n_cont) variance spikes: a relevant continuous column whose
-    per-class sigma sits on the floor while the column itself has real spread
-    means the component collapsed onto a single point or exact duplicates
-    (the floored density there grows without bound as the class shrinks)."""
-    rel = omega[packed.groups.cont] == 1
+    """(S·g, n_cont) variance spikes under the (S, d) ``omega``: a relevant
+    continuous column whose per-class sigma sits on the floor while the column
+    has real spread means the component collapsed onto a single point or
+    exact duplicates (the floored density grows without bound as it shrinks)."""
+    rel = _relevant_rows(omega, len(sigma))[:, packed.groups.cont]
     _, sigma1, _, _ = packed.one_class.blocks
     return (sigma <= dens.SIGMA_FLOOR) & rel & (sigma1 > 1e-6)
 
@@ -200,62 +204,88 @@ def _log_joint(packed: Packed, blocks) -> np.ndarray:
     # log-probabilities laid out like the padded one-hot, 0 on padding
     lp = np.log(np.where(packed.level_mask, probs, 1.0))
     V = np.hstack([-0.5 * mu * mu * prec - const, mu * prec, -0.5 * prec,  # Packed.BLOCKS
-                   -rate, np.log(rate), -np.ones_like(rate),
-                   np.zeros((g, packed.groups.n_cat)), lp.reshape(g, -1)]) @ packed.cells
+                   -rate, np.log(rate), -np.ones_like(rate), np.zeros((g, packed.groups.n_cat)),
+                   lp.reshape(g, packed.groups.n_cat * packed.m_max)]) @ packed.cells
     for k, j in zip(*np.nonzero(by_cell)):
         V[k] += dens.normal_logpdf(packed.Xc[j], mu[k, j], sigma[k, j]) * packed.Mc[j]
     return V
 
 
 def _e_kernel(packed: Packed, tau, blocks):
-    """(g, n) responsibilities t_ki ∝ tau_k * prod of observed-cell densities
-    and the observed-data log-likelihood, from one stabilized log-space pass
-    over ``_log_joint``. Masked cells contribute 0."""
-    V = _log_joint(packed, blocks) + np.log(tau)[:, None]
-    vmax = V.max(axis=0)
-    V -= vmax
+    """(S·g, n) responsibilities t_ki ∝ tau_k * prod of observed-cell
+    densities for the slots of the (S, g) ``tau``, and their (S,)
+    observed-data log-likelihoods, from one stabilized log-space pass over
+    ``_log_joint``. Masked cells contribute 0."""
+    V = _log_joint(packed, blocks) + np.log(tau).reshape(-1, 1)
+    slots = V.reshape(*np.shape(tau), packed.n)  # a view: (S, g, n)
+    vmax = slots.max(axis=1)
+    slots -= vmax[:, None]
     np.exp(V, out=V)
-    s = V.sum(axis=0)
-    V /= s
-    return V, float((vmax + np.log(s)).sum())
+    s = slots.sum(axis=1)
+    slots /= s[:, None]
+    return V, (vmax + np.log(s)).sum(axis=1)
 
 
 def _e_kernel_at(packed: Packed, theta: Parameters):
-    """``_e_kernel`` at a public ``Parameters``, moved to the internal layout."""
+    """``_e_kernel`` at a public ``Parameters``, moved to the internal layout:
+    (g, n) responsibilities and the log-likelihood."""
     probs = np.ones((theta.g, packed.groups.n_cat, packed.m_max))
     for j, m in enumerate(packed.m):
         probs[:, j, :m] = theta.probs[j]
-    return _e_kernel(packed, theta.tau, (theta.mu - packed.shift, theta.sigma, theta.rate, probs))
+    t, loglik = _e_kernel(packed, np.reshape(theta.tau, (1, -1)),
+                          (theta.mu - packed.shift, theta.sigma, theta.rate, probs))
+    return t, float(loglik[0])
 
 
-def _m_kernel(packed: Packed, t: np.ndarray, omega, floor: bool,
-              allow_spikes: bool, penalty_c: float | None = None):
-    """Weighted MLE update under the (g, n) weights ``t``: per-class blocks
-    on relevant columns, the one-class block on irrelevant ones, proportions
-    from the soft counts.
+def _m_slots(packed: Packed, t: np.ndarray, omega, floor: np.ndarray,
+             penalty_c: float | None = None):
+    """Weighted MLE update of the S = len(``floor``) slots under the (S·g, n)
+    weights ``t``: per-class blocks on relevant columns, the one-class block
+    on irrelevant ones, proportions from the soft counts.
 
-    ``penalty_c`` None keeps ``omega``. Otherwise Delta_j compares the
-    expected log-likelihood of the per-class fit of column j against the
-    shared fit minus the extra-parameter cost (g-1) * nu_j * c, and the
-    column is relevant iff Delta_j > 0. ``floor`` floors empty components
-    and ``allow_spikes`` accepts variance spikes instead of raising.
+    ``penalty_c`` None keeps the (S, d) ``omega``. Otherwise Delta_j compares
+    the expected log-likelihood of the per-class fit of column j against the
+    shared fit minus the extra-parameter cost (g-1) * nu_j * c, and the column
+    is relevant iff Delta_j > 0 and g > 1: at g = 1 the two fits are one, and
+    Delta is 0 up to the rounding of the class-sum product. A slot that
+    ``floor``s lifts its soft counts to at least 1e-10 and renormalizes them.
 
-    Returns (tau, blocks, omega, Delta or None).
+    Returns (tau, blocks, omega, Delta or None, empty, spikes): the (S, g)
+    empty components of the slots that do not floor and the (S·g, n_cont)
+    variance spikes (``_spikes``) mark the slots that failed.
     """
+    g = len(t) // len(floor)
     st = packed.class_sums(t)
-    tau = _tau_from_nk(st["nk"], packed.n, floor)
+    nk, fl = st["nk"].reshape(-1, g), floor[:, None]
+    lifted = np.maximum(nk, 1e-10)
+    tau = np.where(fl, lifted / lifted.sum(axis=1, keepdims=True), nk / packed.n)
+    empty = (nk < EMPTY_COMPONENT_TOL) & ~fl
     blocks = _install(*_per_class_blocks(packed, st), packed.one_class.blocks)
     delta = None
     if penalty_c is not None:
-        wll = _weighted_loglik_by_column(packed, st, blocks)
-        delta = wll - packed.one_class.loglik - (len(t) - 1.0) * packed.nu * penalty_c
-        omega = (delta > 0).astype(np.int8)
-    spiky = _spikes(packed, blocks[1], omega)
-    if not allow_spikes and spiky.any():
+        wll = _weighted_loglik_by_column(packed, st, blocks, g)
+        delta = wll - packed.one_class.loglik - (g - 1.0) * packed.nu * penalty_c
+        omega = ((delta > 0) & (g > 1)).astype(np.int8)
+    return (tau, _install_omega(packed, omega, blocks), omega, delta, empty,
+            _spikes(packed, blocks[1], omega))
+
+
+def _m_kernel(packed: Packed, t: np.ndarray, omega, penalty_c: float | None = None):
+    """``_m_slots`` on one slot, as the public steps see it: (g, n) weights
+    and (d,) ``omega`` (None under a penalty). An empty component raises
+    ``EmptyComponent`` and a variance spike ``DegenerateComponent``.
+
+    Returns (tau, blocks, omega, Delta or None).
+    """
+    tau, blocks, omega, delta, empty, spiky = _m_slots(
+        packed, t, None if omega is None else omega[None], np.zeros(1, bool), penalty_c)
+    if empty.any():
+        raise EmptyComponent(int(np.argmin(tau[0])))
+    if spiky.any():
         raise DegenerateComponent(
             f"variance spike at (component, column) = "
             f"{tuple(int(v) for v in np.argwhere(spiky)[0])}")
-    return tau, _install_omega(packed, omega, blocks), omega, delta
+    return tau[0], blocks, omega[0], None if delta is None else delta[0]
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +304,7 @@ def m_step(dataset: Dataset, model: Model, fuzzy: np.ndarray) -> Parameters:
     if fuzzy.shape[1] != model.g or len(model.omega) != dataset.d:
         raise ValueError("fuzzy must have g columns and omega d entries")
     packed = dataset.packed()
-    tau, blocks, *_ = _m_kernel(packed, fuzzy.T, model.omega, False, False)
+    tau, blocks, *_ = _m_kernel(packed, fuzzy.T, model.omega)
     return _parameters(packed, tau, blocks)
 
 
@@ -287,7 +317,7 @@ def observed_loglik(dataset: Dataset, model: Model, theta: Parameters) -> float:
 
 def penalized_m_step(dataset: Dataset, g: int, fuzzy: np.ndarray, c: float):
     """Joint update of the relevance vector and the parameters: the M step
-    with omega_j = 1 iff Delta_j > 0 (see ``_m_kernel``); ``fuzzy`` must have
+    with omega_j = 1 iff Delta_j > 0 (see ``_m_slots``); ``fuzzy`` must have
     g columns.
 
     Returns (omega, Parameters, Delta vector).
@@ -295,8 +325,7 @@ def penalized_m_step(dataset: Dataset, g: int, fuzzy: np.ndarray, c: float):
     if g != fuzzy.shape[1]:
         raise ValueError("fuzzy must have g columns")
     packed = dataset.packed()
-    tau, blocks, omega, delta = _m_kernel(packed, fuzzy.T, None, False, False,
-                                          penalty_c=float(c))
+    tau, blocks, omega, delta = _m_kernel(packed, fuzzy.T, None, penalty_c=float(c))
     return omega, _parameters(packed, tau, blocks), delta
 
 
@@ -323,87 +352,89 @@ def _init_theta(packed: Packed, g: int, omega: np.ndarray, rng: np.random.Genera
     noise = rng.standard_normal((g, gr.n_cat, packed.m_max))
     raw = probs1 * np.exp(noise)
     probs = dens.floor_probs(raw, packed.level_mask)
-    return np.full(g, 1.0 / g), _install_omega(packed, omega, (mu, sigma, rate, probs))
+    return np.full(g, 1.0 / g), _install_omega(packed, omega[None], (mu, sigma, rate, probs))
 
 
-def _em_sequence(packed: Packed, tau, blocks, omega: np.ndarray, cfg: EmConfig,
-                 penalty_c: float | None, floor: bool, allow_spikes: bool):
-    """One EM run from the start (tau, blocks), as an ``EmResult`` with its trace.
+def _em_slots(packed: Packed, g: int, omega0, cfg: EmConfig, penalty_c: float | None,
+              starts, allow_spikes: bool) -> list:
+    """EM runs from the random ``starts``, stacked: one ``_m_slots`` and one
+    ``_e_kernel`` call per iteration advance every live slot, and a slot
+    leaves the stack when it converges or reaches ``cfg.max_iterations``.
 
-    ``penalty_c`` None means the model (omega) stays fixed; otherwise omega is
-    re-optimized every M step and the objective is penalized.
+    Start s draws from ``seeded_rng(cfg.seed, s)``: omega (Bernoulli(1/2) per
+    column if ``omega0`` is None), then ``_init_theta``. A slot whose
+    component empties or spikes is redrawn from its stream, up to
+    ``MAX_REDRAWS`` times, the last redraw flooring empty components, and is
+    then discarded (a floored spike is a near-singular fit, not a usable
+    optimum); other slots run on. ``allow_spikes`` floors and accepts spikes
+    from the first draw. ``penalty_c`` None keeps omega fixed; otherwise it
+    is re-chosen every M step and the objective is penalized.
+
+    Returns the kept starts' ``EmResult``s in start order.
     """
-    g = len(tau)
-    t, _ = _e_kernel(packed, tau, blocks)
-    prev_obj = -np.inf
-    trace = []
-    converged = False
-    model, penalty = None, 0.0
-    for it in range(1, cfg.max_iterations + 1):
-        tau, blocks, omega, _ = _m_kernel(packed, t, omega, floor, allow_spikes, penalty_c)
+    rngs = {s: seeded_rng(cfg.seed, s) for s in starts}
+    redraws = dict.fromkeys(starts, MAX_REDRAWS if allow_spikes else 0)
+    runs, done, fresh = {}, {}, list(starts)
+    live, t, omega = [], np.empty((0, packed.n)), np.empty((0, packed.d), np.int8)
+    while fresh or live:
+        if fresh:  # (re)drawn starts join after one E step at their start
+            oms = [omega0 if omega0 is not None else
+                   rngs[s].integers(0, 2, size=packed.d).astype(np.int8) for s in fresh]
+            taus, blocks = zip(*(_init_theta(packed, g, om, rngs[s])
+                                 for s, om in zip(fresh, oms)))
+            tf, _ = _e_kernel(packed, np.array(taus), tuple(map(np.concatenate, zip(*blocks))))
+            runs.update((s, [[], None, 0.0]) for s in fresh)  # trace, model, penalty
+            t, omega = np.vstack([t, tf]), np.vstack([omega, *oms])
+            live, fresh = live + fresh, []
+        floor = np.array([redraws[s] == MAX_REDRAWS for s in live])
+        tau, blocks, omega, _, empty, spiky = _m_slots(packed, t, omega, floor, penalty_c)
+        ok = ~empty.any(axis=1) & (allow_spikes | ~spiky.any(axis=1).reshape(-1, g).any(axis=1))
+        for s in [s for s, k in zip(live, ok) if not k]:
+            redraws[s] += 1
+            fresh += [s] if redraws[s] <= MAX_REDRAWS else []
+        if not ok.all():
+            live, tau, omega, blocks = ([s for s, k in zip(live, ok) if k], tau[ok], omega[ok],
+                                        tuple(b[np.repeat(ok, g)] for b in blocks))
         t, loglik = _e_kernel(packed, tau, blocks)
-        if model is None or (omega != model.omega).any():
-            # the penalty only changes with omega
-            model = Model(g, omega)
-            if penalty_c is not None:
-                penalty = count_params(model, packed.kinds) * penalty_c
-        obj = loglik - penalty
-        trace.append(obj)
-        if prev_obj > -np.inf and \
-                abs(obj - prev_obj) / (abs(prev_obj) + 1.0) < cfg.rel_tolerance:
-            converged = True
-            break
-        prev_obj = obj
-    return EmResult(theta=_parameters(packed, tau, blocks), model=model, loglik=loglik,
-                    objective=obj, fuzzy=np.ascontiguousarray(t.T), n_iterations=it,
-                    converged=converged, traces=[np.array(trace)])
+        going = np.ones(len(live), bool)
+        for i, s in enumerate(live):
+            trace, model, penalty = run = runs[s]
+            if model is None or (omega[i] != model.omega).any():
+                # the penalty only changes with omega
+                model = run[1] = Model(g, omega[i])
+                if penalty_c is not None:
+                    penalty = run[2] = count_params(model, packed.kinds) * penalty_c
+            obj, prev = float(loglik[i]) - penalty, trace[-1] if trace else -np.inf
+            converged = prev > -np.inf and \
+                abs(obj - prev) / (abs(prev) + 1.0) < cfg.rel_tolerance
+            trace.append(obj)
+            if converged or len(trace) == cfg.max_iterations:
+                going[i], k = False, slice(i * g, (i + 1) * g)
+                done[s] = EmResult(
+                    theta=_parameters(packed, tau[i], tuple(b[k] for b in blocks)), model=model,
+                    loglik=float(loglik[i]), objective=obj, fuzzy=np.ascontiguousarray(t[k].T),
+                    n_iterations=len(trace), converged=converged, traces=[np.array(trace)],
+                    start_index=s)
+        if not going.all():
+            live, t, omega = [s for s, k in zip(live, going) if k], t[np.repeat(going, g)], \
+                omega[going]
+    return [done[s] for s in starts if s in done]
 
 
 def _run_starts(dataset: Dataset, g: int, omega0, cfg: EmConfig,
                 penalty_c: float | None) -> EmResult:
-    """Best-of-n-starts driver shared by the plain and penalized engines.
-
-    ``omega0`` is a fixed relevance vector (plain EM) or None (penalized EM,
-    Bernoulli(1/2) redraw per start). A start whose component empties is
-    redrawn, up to ``MAX_REDRAWS`` times, and the last redraw floors empty
-    components; a start that keeps collapsing onto a variance spike is
-    discarded instead, since a floored spike is a near-singular fit, not a
-    usable optimum. Only if every start degenerates is a single floored run
-    accepted so the call can return.
+    """Best-of-n-starts driver shared by the plain and penalized engines: the
+    starts run as one stack (``_em_slots``), and the first of the best
+    objectives wins. Only if every start is discarded is one more start run,
+    with floor and spikes allowed, so the call can return: the landscape is
+    then dominated by a degenerate solution.
     """
     packed = dataset.packed()
-
-    def attempt(rng, floor: bool, allow_spikes: bool):
-        omega = omega0 if omega0 is not None else \
-            rng.integers(0, 2, size=packed.d).astype(np.int8)
-        return _em_sequence(packed, *_init_theta(packed, g, omega, rng), omega, cfg,
-                            penalty_c, floor, allow_spikes)
-
-    best = None
-    traces = []
-    for s in range(cfg.n_starts):
-        rng = seeded_rng(cfg.seed, s)
-        res = None
-        for redraw in range(MAX_REDRAWS + 1):
-            try:
-                res = attempt(rng, redraw == MAX_REDRAWS, False)
-                break
-            except (EmptyComponent, DegenerateComponent):
-                continue
-        if res is None:
-            continue
-        res.start_index = s
-        traces += res.traces
-        if best is None or res.objective > best.objective:
-            best = res
-    if best is None:
-        # every start spiked: the landscape is dominated by a degenerate
-        # solution; return one floored fit rather than failing the call
-        best = attempt(seeded_rng(cfg.seed, cfg.n_starts), True, True)
-        best.start_index = cfg.n_starts
-        traces += best.traces
-    best.traces = traces
-    best.degenerate = bool(_spikes(packed, best.theta.sigma, best.model.omega).any())
+    kept = _em_slots(packed, g, omega0, cfg, penalty_c, range(cfg.n_starts), False) or \
+        _em_slots(packed, g, omega0, cfg, penalty_c, [cfg.n_starts], True)
+    best = max(kept, key=lambda res: res.objective)
+    best.traces = [trace for res in kept for trace in res.traces]
+    best.degenerate = bool(_spikes(packed, best.theta.sigma, best.model.omega[None]).any())
     return best
 
 

@@ -408,17 +408,18 @@ class MiclConfig:
 
 
 def run_micl(dataset: Dataset, g: int, hyper: Hyperparameters,
-             config: MiclConfig):
+             config: MiclConfig, tables: MarginalTables | None = None):
     """Best-of-starts alternating maximization of the integrated complete-data
     likelihood over (omega, z) at fixed g.
 
     Each start draws omega ~ Bernoulli(1/2) per column, fits that model by a
     small-budget EM, takes the MAP partition, then alternates partition and
-    model steps until neither improves the objective.
+    model steps until neither improves the objective. ``tables`` defaults to
+    ``MarginalTables(dataset, hyper)``, built once by a caller sweeping g.
 
     Returns (Model, 1-based hard labels, objective value).
     """
-    tables = MarginalTables(dataset, hyper)
+    tables = MarginalTables(dataset, hyper) if tables is None else tables
     best: tuple | None = None
     for s in range(config.n_starts):
         rng = seeded_rng(config.seed, 91, s)

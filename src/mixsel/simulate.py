@@ -155,15 +155,16 @@ def _balanced_labels(n: int, rng: np.random.Generator) -> np.ndarray:
     return z
 
 
-def gen_continuous(spec: ScenarioSpec):
+def gen_continuous(spec: ScenarioSpec, delta: float | None = None):
     """Two balanced Gaussian components: R separating columns with centers
     ±delta and tridiagonal covariance, d - R standard-normal noise columns.
+    ``delta`` defaults to ``calibrate_delta(spec)``.
 
     Returns (Dataset, true labels, true Model).
     """
     if spec.family != CONTINUOUS_TRIDIAG:
         raise InvalidShape("spec is not a continuous design")
-    delta = calibrate_delta(spec)
+    delta = calibrate_delta(spec) if delta is None else delta
     rng = seeded_rng(spec.seed, 1)
     z = _balanced_labels(spec.n, rng)
     L = np.linalg.cholesky(_tridiag(R, spec.rho))
@@ -188,13 +189,14 @@ def _mixed_margins(delta: float, p_offset: float = 0.2):
     }
 
 
-def gen_mixed(spec: ScenarioSpec):
+def gen_mixed(spec: ScenarioSpec, delta: float | None = None):
     """Two balanced components over independent mixed margins: 2 continuous,
     2 count and 2 binary separating columns, plus equal numbers of noise
-    columns of each kind. Returns (Dataset, true labels, true Model)."""
+    columns of each kind; ``delta`` defaults to ``calibrate_delta(spec)``.
+    Returns (Dataset, true labels, true Model)."""
     if spec.family != MIXED_INDEP:
         raise InvalidShape("spec is not a mixed design")
-    par = _mixed_margins(calibrate_delta(spec))
+    par = _mixed_margins(calibrate_delta(spec) if delta is None else delta)
     rng = seeded_rng(spec.seed, 2)
     z = _balanced_labels(spec.n, rng)
     k = z - 1
@@ -221,10 +223,13 @@ def gen_mixed(spec: ScenarioSpec):
     return Dataset(X, kinds, cat_labels=labels), z, Model(2, omega)
 
 
-def generate(spec: ScenarioSpec):
-    """Dispatch on family and apply MCAR masking per the spec."""
-    ds, z, model = gen_continuous(spec) if spec.family == CONTINUOUS_TRIDIAG \
-        else gen_mixed(spec)
+def generate(spec: ScenarioSpec, delta: float | None = None):
+    """Dispatch on family and apply MCAR masking per the spec. ``delta`` is
+    the spec's ``calibrate_delta``, for a caller that already has it: it
+    depends on the family, the target error and rho only, so a campaign
+    calibrates once for all its replicates."""
+    ds, z, model = gen_continuous(spec, delta) if spec.family == CONTINUOUS_TRIDIAG \
+        else gen_mixed(spec, delta)
     if spec.missing_rate > 0:
         ds = inject_mcar(ds, spec.missing_rate, derive_seed(spec.seed, 3))
     return ds, z, model

@@ -4,8 +4,9 @@ These deliberately avoid the package's formulas: continuous and integer
 marginals are computed by adaptive quadrature of the prior-times-likelihood
 integrand, categorical marginals and the proportion factor by the sequential
 predictive (urn) product. Intended for small inputs (n <= ~25). Below them,
-the cell-by-cell references for the vectorized EM kernels, and the
-Monte-Carlo Bayes risk of the mixed simulation design.
+the cell-by-cell references for the vectorized EM kernels, the EM starts run
+one after another, and the Monte-Carlo Bayes risk of the mixed simulation
+design.
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.special import gammaln
 
-from mixsel.data import CONT, INT
+from mixsel import em
+from mixsel.data import CONT, INT, Model, count_params
 from mixsel.densities import floor_probs, floor_rate, floor_sigma, normal_logpdf
 from mixsel.util import seeded_rng
 
@@ -192,6 +194,55 @@ def column_loglik(dataset, j: int, rows, block: np.ndarray) -> float:
     for i in obs:
         total += log_density(float(dataset.X[i, j]), kind, block)
     return total
+
+
+class StartFailed(Exception):
+    """An empty component or a variance spike ended a start's run."""
+
+
+def sequential_em_starts(dataset, g, omega0, cfg, penalty_c):
+    """The random starts of ``em._run_starts`` one after another, each on
+    one-slot kernel calls: start s draws from ``seeded_rng(cfg.seed, s)``,
+    is redrawn after a failed run (the last of ``em.MAX_REDRAWS`` redraws
+    floors) and discarded if that fails too; if every start is discarded, one
+    floored start that accepts spikes runs. Returns the kept starts as dicts
+    in start order, the first best of them, and the number of failed runs."""
+    packed = dataset.packed()
+
+    def run(rng, floor, allow_spikes):
+        omega = omega0 if omega0 is not None else \
+            rng.integers(0, 2, size=packed.d).astype(np.int8)
+        tau, blocks = em._init_theta(packed, g, omega, rng)
+        t, _ = em._e_kernel(packed, tau[None], blocks)
+        omega, trace = omega[None], []
+        for _ in range(cfg.max_iterations):
+            tau, blocks, omega, _, empty, spiky = em._m_slots(
+                packed, t, omega, np.array([floor]), penalty_c)
+            if empty.any() or (spiky.any() and not allow_spikes):
+                raise StartFailed
+            t, loglik = em._e_kernel(packed, tau, blocks)
+            penalty = 0.0 if penalty_c is None else \
+                count_params(Model(g, omega[0]), packed.kinds) * penalty_c
+            trace.append(float(loglik[0]) - penalty)
+            if len(trace) > 1 and abs(trace[-1] - trace[-2]) / (abs(trace[-2]) + 1.0) < \
+                    cfg.rel_tolerance:
+                break
+        return {"trace": np.array(trace), "omega": omega[0], "labels": t.argmax(axis=0) + 1,
+                "degenerate": bool(em._spikes(packed, blocks[1], omega).any())}
+
+    kept, failed = [], 0
+    for s in range(cfg.n_starts):
+        rng = seeded_rng(cfg.seed, s)
+        for redraw in range(em.MAX_REDRAWS + 1):
+            try:
+                kept.append({"start": s, **run(rng, redraw == em.MAX_REDRAWS, False)})
+                break
+            except StartFailed:
+                failed += 1
+    if not kept:
+        kept = [{"start": cfg.n_starts, **run(seeded_rng(cfg.seed, cfg.n_starts), True, True)}]
+    best = max(kept, key=lambda start: start["trace"][-1])
+    return kept, best, failed
 
 
 def mixed_log_ratio(xc, xi, xb, delta):

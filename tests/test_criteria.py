@@ -97,3 +97,21 @@ def test_icl_noselect_builds_its_tables_once(monkeypatch):
     # the value of the shared tables is the one of tables built for the call alone
     assert report.best.value == log_integrated_complete(
         ds, report.partition, report.best.model, Hyperparameters.default(ds))
+
+
+def test_micl_sweep_builds_the_marginal_tables_once(monkeypatch):
+    import mixsel.criteria as criteria
+    import mixsel.micl as micl
+    builds = []
+
+    class Counted(micl.MarginalTables):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(micl, "MarginalTables", Counted)
+    monkeypatch.setattr(criteria, "MarginalTables", Counted)
+    ds = _noise_dataset(seed=4, n=60, d=2)
+    report = select_model(ds, "micl", 3, EmConfig(seed=1, n_starts=2))
+    assert [rec.g for rec in report.records] == [1, 2, 3]
+    assert len(builds) == 1

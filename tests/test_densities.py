@@ -157,7 +157,7 @@ def test_m_kernel_fixed_omega_swaps_in_the_shared_cells_like_where():
     packed = ds.packed()
     t = _soft_weights(packed, z)
     fixed = np.repeat(np.array([1, 0], dtype=np.int8), 6)
-    _, blocks, omega, delta = em._m_kernel(packed, t, fixed, True, True)
+    _, blocks, omega, delta = em._m_kernel(packed, t, fixed)
     assert np.array_equal(omega, fixed) and delta is None
     gr = packed.groups
     shared = [fixed[cols] == 0 for cols in (gr.cont, gr.cont, gr.integer, gr.cat)]
@@ -192,7 +192,7 @@ def test_log_joint_is_the_cell_by_cell_sum():
     packed = ds.packed()
     fixed = np.repeat(np.array([1, 0], dtype=np.int8), 6)
     tau, (mu, sigma, rate, probs), _, _ = em._m_kernel(
-        packed, _soft_weights(packed, z), fixed, True, True)
+        packed, _soft_weights(packed, z), fixed)
     shared = fixed[packed.groups.cont] == 0
     assert shared.any() and not shared.all()
     assert (sigma[:, shared] == packed.one_class.blocks[1][:, shared]).all()
@@ -216,11 +216,11 @@ def test_delta_is_the_cell_by_cell_expected_loglik_gain():
     packed = ds.packed()
     t = _soft_weights(packed, z)
     c = 0.5 * np.log(packed.n)
-    tau, _, omega, delta = em._m_kernel(packed, t, None, True, True, penalty_c=c)
+    tau, _, omega, delta = em._m_kernel(packed, t, None, penalty_c=c)
     assert omega.any() and not omega.all()
     st = packed.class_sums(t)
     blocks = em._install(*em._per_class_blocks(packed, st), packed.one_class.blocks)
-    wll = em._weighted_loglik_by_column(packed, st, blocks)
+    wll = em._weighted_loglik_by_column(packed, st, blocks, 2)[0]
     theta = em._parameters(packed, tau, blocks)
     shared = em._parameters(packed, [1.0], packed.one_class.blocks)
     for j, kind in enumerate(ds.kinds):

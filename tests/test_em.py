@@ -397,3 +397,81 @@ def test_collapsed_fit_loglik_matches_the_oracle(make):
              for k in range(g)] for i in range(ds.n)]
     assert res.loglik == pytest.approx(float(logsumexp(np.array(rows), axis=1).sum()),
                                        rel=1e-12)
+
+
+def _stacked_cases():
+    """(dataset, g, fixed omega or None, config, penalty or None, failed runs
+    the case must show): every start spiking, some starts redrawn mid-stack,
+    starts kept on their floored last redraw, a clean set, and one start
+    stopping at the iteration budget."""
+    dup, g = _three_duplicate_pairs()
+    clean, redrawn, budget = (_mixed_dataset(seed=s, missing=0.1) for s in (2, 0, 1))
+    omega = np.array([1, 0, 1, 1], np.int8)
+    return {
+        "all-spiked": (dup, g, np.ones(1, np.int8), EmConfig(seed=0, n_starts=3), None, 33),
+        "redrawn": (redrawn, 3, omega, EmConfig(seed=0, n_starts=5), None, 2),
+        "floored": (_mixed_dataset(seed=0), 3, np.ones(4, np.int8), EmConfig(seed=0, n_starts=3),
+                    None, 31),
+        "clean": (clean, 3, omega, EmConfig(seed=2, n_starts=5), None, 0),
+        "budget": (budget, 3, None, EmConfig(seed=1, n_starts=5, max_iterations=50),
+                   0.5 * np.log(budget.n), 0),
+    }
+
+
+@pytest.mark.parametrize("case", ["all-spiked", "redrawn", "floored", "clean", "budget"])
+def test_stacked_starts_match_the_sequential_reference(case, monkeypatch):
+    from mixsel import em, map_partition
+    from oracles import sequential_em_starts
+    ds, g, omega0, cfg, c, failed = _stacked_cases()[case]
+    if case == "floored":
+        # a class under n/4 counts as empty: every start fails 10 times and
+        # runs its last redraw floored, or fails that too and is discarded
+        monkeypatch.setattr(em, "EMPTY_COMPONENT_TOL", 0.25 * ds.n)
+    res = em._run_starts(ds, g, omega0, cfg, c)
+    kept, best, n_failed = sequential_em_starts(ds, g, omega0, cfg, c)
+    assert n_failed == failed
+    if case == "budget":
+        assert {len(k["trace"]) for k in kept} >= {2, cfg.max_iterations}
+    assert len(res.traces) == len(kept)
+    for got, want in zip(res.traces, kept):
+        assert len(got) == len(want["trace"])
+        assert np.allclose(got, want["trace"], rtol=1e-12, atol=0.0)
+    assert res.n_iterations == len(best["trace"])
+    assert res.start_index == best["start"]
+    assert np.array_equal(res.model.omega, best["omega"])
+    assert np.array_equal(map_partition(res.fuzzy), best["labels"])
+    assert res.degenerate == best["degenerate"]
+
+
+def test_one_component_starts_agree_and_select_nothing():
+    # at g = 1 every start ends on the one-class fit: no column is relevant,
+    # whatever the rounding of the stacked class sums
+    ds = _mixed_dataset(seed=17, missing=0.1)
+    res = run_penalized_em(ds, 1, 0.5 * np.log(ds.n), EmConfig(seed=4, n_starts=5))
+    assert not res.model.omega.any()
+    assert len(res.traces) == 5
+    assert len({trace[-1] for trace in res.traces}) == 1
+
+
+def test_a_failed_slot_leaves_the_other_slots_alone():
+    # four stacked slots on the same data: component 2 empty (slots 0 and 2,
+    # slot 2 floors), soft weights (slot 1), component 1 on one row (slot 3)
+    from mixsel import em
+    ds = _mixed_dataset(seed=18)
+    packed = ds.packed()
+    soft = np.random.default_rng(3).dirichlet([1, 1], ds.n).T
+    hollow = np.vstack([np.ones(ds.n), np.zeros(ds.n)])
+    single = np.vstack([np.eye(ds.n)[0], 1.0 - np.eye(ds.n)[0]])
+    t = np.vstack([hollow, soft, hollow, single])
+    omega = np.ones((4, ds.d), np.int8)
+    floor = np.array([False, False, True, False])
+    tau, blocks, _, _, empty, spiky = em._m_slots(packed, t, omega, floor)
+    assert empty.tolist() == [[False, True], [False, False], [False, False], [False, False]]
+    assert spiky.reshape(4, 2, -1).any(axis=2).tolist() == \
+        [[False, False], [False, False], [False, False], [True, False]]
+    assert np.array_equal(tau[0], [1.0, 0.0])
+    assert np.array_equal(tau[2], np.array([ds.n, 1e-10]) / (ds.n + 1e-10))
+    alone_tau, alone, *_ = em._m_slots(packed, soft, omega[:1], floor[:1])
+    assert np.allclose(tau[1], alone_tau[0], rtol=1e-12, atol=0.0)
+    for got, want in zip(blocks, alone):
+        assert np.allclose(got[2:4], want, rtol=1e-12, atol=0.0)

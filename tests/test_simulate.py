@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from mixsel import (InvalidShape, LengthMismatch, NoRoot, ScenarioSpec, ari,
                     inject_mcar)
 from mixsel.simulate import (CONTINUOUS_TRIDIAG, MIXED_INDEP, _mixed_bayes_risk,
                              _mixed_margins, _tridiag)
-from mixsel.util import seeded_rng
+from mixsel.util import derive_seed, seeded_rng
 from oracles import mixed_bayes_error, mixed_log_ratio
 
 
@@ -248,3 +250,24 @@ def test_calibrate_delta_mixed_is_pure():
     cached = [name for name, obj in vars(mixsel.simulate).items()
               if hasattr(obj, "cache_clear")]
     assert cached == []
+
+
+
+def test_a_two_replicate_campaign_calibrates_the_mixed_design_once(monkeypatch):
+    import mixsel.simulate as sim
+    from mixsel import run_campaign
+    evals = []
+    risk = sim._mixed_bayes_risk
+    monkeypatch.setattr(sim, "_mixed_bayes_risk", lambda delta: evals.append(delta) or risk(delta))
+    spec = ScenarioSpec(MIXED_INDEP, n=40, d=12, target_error=0.05, seed=3)
+    delta = calibrate_delta(spec)
+    one = list(evals)
+    evals.clear()
+    records, _ = run_campaign(spec, ["bic"], 2, gmax=1, starts=1)
+    assert len(records) == 2
+    assert len(one) > 2 and evals == one
+    # the replicates' data are the ones their own calibration gives
+    for rep in range(2):
+        spec_rep = replace(spec, seed=derive_seed(3, 51, rep))
+        a, b = generate(spec_rep, delta)[0], generate(spec_rep)[0]
+        assert np.array_equal(a.X, b.X, equal_nan=True)
