@@ -42,7 +42,7 @@ from .util import seeded_rng
 
 EMPTY_COMPONENT_TOL = 1e-8
 WEIGHT_TOL = 1e-12
-MAX_REDRAWS = 10  # redraws of a start whose component empties; the last one floors
+MAX_REDRAWS = 10  # redraws of a start whose component empties or spikes, then discarded
 
 
 class EmError(RuntimeError):
@@ -237,9 +237,9 @@ def _e_kernel_at(packed: Packed, theta: Parameters):
     return t, float(loglik[0])
 
 
-def _m_slots(packed: Packed, t: np.ndarray, omega, floor: np.ndarray,
+def _m_slots(packed: Packed, t: np.ndarray, g: int, omega, floor: bool = False,
              penalty_c: float | None = None):
-    """Weighted MLE update of the S = len(``floor``) slots under the (S·g, n)
+    """Weighted MLE update of the slots of g classes under the (S·g, n)
     weights ``t``: per-class blocks on relevant columns, the one-class block
     on irrelevant ones, proportions from the soft counts.
 
@@ -247,19 +247,17 @@ def _m_slots(packed: Packed, t: np.ndarray, omega, floor: np.ndarray,
     the expected log-likelihood of the per-class fit of column j against the
     shared fit minus the extra-parameter cost (g-1) * nu_j * c, and the column
     is relevant iff Delta_j > 0 and g > 1: at g = 1 the two fits are one, and
-    Delta is 0 up to the rounding of the class-sum product. A slot that
-    ``floor``s lifts its soft counts to at least 1e-10 and renormalizes them.
+    Delta is 0 up to the rounding of the class-sum product. With ``floor``
+    every slot lifts its soft counts to at least 1e-10 and renormalizes them.
 
     Returns (tau, blocks, omega, Delta or None, empty, spikes): the (S, g)
-    empty components of the slots that do not floor and the (S·g, n_cont)
-    variance spikes (``_spikes``) mark the slots that failed.
+    components whose soft count is under ``EMPTY_COMPONENT_TOL`` and the
+    (S·g, n_cont) variance spikes (``_spikes``) mark the slots that failed.
     """
-    g = len(t) // len(floor)
     st = packed.class_sums(t)
-    nk, fl = st["nk"].reshape(-1, g), floor[:, None]
-    lifted = np.maximum(nk, 1e-10)
-    tau = np.where(fl, lifted / lifted.sum(axis=1, keepdims=True), nk / packed.n)
-    empty = (nk < EMPTY_COMPONENT_TOL) & ~fl
+    nk = st["nk"].reshape(-1, g)
+    empty, lifted = nk < EMPTY_COMPONENT_TOL, np.maximum(nk, 1e-10)
+    tau = lifted / lifted.sum(axis=1, keepdims=True) if floor else nk / packed.n
     blocks = _install(*_per_class_blocks(packed, st), packed.one_class.blocks)
     delta = None
     if penalty_c is not None:
@@ -278,7 +276,7 @@ def _m_kernel(packed: Packed, t: np.ndarray, omega, penalty_c: float | None = No
     Returns (tau, blocks, omega, Delta or None).
     """
     tau, blocks, omega, delta, empty, spiky = _m_slots(
-        packed, t, None if omega is None else omega[None], np.zeros(1, bool), penalty_c)
+        packed, t, len(t), None if omega is None else omega[None], penalty_c=penalty_c)
     if empty.any():
         raise EmptyComponent(int(np.argmin(tau[0])))
     if spiky.any():
@@ -356,24 +354,24 @@ def _init_theta(packed: Packed, g: int, omega: np.ndarray, rng: np.random.Genera
 
 
 def _em_slots(packed: Packed, g: int, omega0, cfg: EmConfig, penalty_c: float | None,
-              starts, allow_spikes: bool) -> list:
+              starts, floor: bool) -> list:
     """EM runs from the random ``starts``, stacked: one ``_m_slots`` and one
     ``_e_kernel`` call per iteration advance every live slot, and a slot
     leaves the stack when it converges or reaches ``cfg.max_iterations``.
 
     Start s draws from ``seeded_rng(cfg.seed, s)``: omega (Bernoulli(1/2) per
     column if ``omega0`` is None), then ``_init_theta``. A slot whose
-    component empties or spikes is redrawn from its stream, up to
-    ``MAX_REDRAWS`` times, the last redraw flooring empty components, and is
-    then discarded (a floored spike is a near-singular fit, not a usable
-    optimum); other slots run on. ``allow_spikes`` floors and accepts spikes
-    from the first draw. ``penalty_c`` None keeps omega fixed; otherwise it
-    is re-chosen every M step and the objective is penalized.
+    component empties or spikes (a near-singular fit, not a usable optimum)
+    is redrawn from its stream, up to ``MAX_REDRAWS`` times, and then
+    discarded; other slots run on. With ``floor`` no slot fails: empty
+    components are floored, and a slot whose last M step spiked is kept and
+    flagged ``degenerate``. ``penalty_c`` None keeps omega fixed; otherwise
+    it is re-chosen every M step and the objective is penalized.
 
     Returns the kept starts' ``EmResult``s in start order.
     """
     rngs = {s: seeded_rng(cfg.seed, s) for s in starts}
-    redraws = dict.fromkeys(starts, MAX_REDRAWS if allow_spikes else 0)
+    redraws = dict.fromkeys(starts, 0)
     runs, done, fresh = {}, {}, list(starts)
     live, t, omega = [], np.empty((0, packed.n)), np.empty((0, packed.d), np.int8)
     while fresh or live:
@@ -386,15 +384,16 @@ def _em_slots(packed: Packed, g: int, omega0, cfg: EmConfig, penalty_c: float | 
             runs.update((s, [[], None, 0.0]) for s in fresh)  # trace, model, penalty
             t, omega = np.vstack([t, tf]), np.vstack([omega, *oms])
             live, fresh = live + fresh, []
-        floor = np.array([redraws[s] == MAX_REDRAWS for s in live])
-        tau, blocks, omega, _, empty, spiky = _m_slots(packed, t, omega, floor, penalty_c)
-        ok = ~empty.any(axis=1) & (allow_spikes | ~spiky.any(axis=1).reshape(-1, g).any(axis=1))
+        tau, blocks, omega, _, empty, spiky = _m_slots(packed, t, g, omega, floor, penalty_c)
+        spiky = spiky.any(axis=1).reshape(-1, g).any(axis=1)
+        ok = floor | ~(empty.any(axis=1) | spiky)
         for s in [s for s, k in zip(live, ok) if not k]:
             redraws[s] += 1
             fresh += [s] if redraws[s] <= MAX_REDRAWS else []
         if not ok.all():
-            live, tau, omega, blocks = ([s for s, k in zip(live, ok) if k], tau[ok], omega[ok],
-                                        tuple(b[np.repeat(ok, g)] for b in blocks))
+            live, tau, omega, spiky, blocks = (
+                [s for s, k in zip(live, ok) if k], tau[ok], omega[ok], spiky[ok],
+                tuple(b[np.repeat(ok, g)] for b in blocks))
         t, loglik = _e_kernel(packed, tau, blocks)
         going = np.ones(len(live), bool)
         for i, s in enumerate(live):
@@ -414,7 +413,7 @@ def _em_slots(packed: Packed, g: int, omega0, cfg: EmConfig, penalty_c: float | 
                     theta=_parameters(packed, tau[i], tuple(b[k] for b in blocks)), model=model,
                     loglik=float(loglik[i]), objective=obj, fuzzy=np.ascontiguousarray(t[k].T),
                     n_iterations=len(trace), converged=converged, traces=[np.array(trace)],
-                    start_index=s)
+                    start_index=s, degenerate=bool(spiky[i]))
         if not going.all():
             live, t, omega = [s for s, k in zip(live, going) if k], t[np.repeat(going, g)], \
                 omega[going]
@@ -426,15 +425,14 @@ def _run_starts(dataset: Dataset, g: int, omega0, cfg: EmConfig,
     """Best-of-n-starts driver shared by the plain and penalized engines: the
     starts run as one stack (``_em_slots``), and the first of the best
     objectives wins. Only if every start is discarded is one more start run,
-    with floor and spikes allowed, so the call can return: the landscape is
-    then dominated by a degenerate solution.
+    the one that floors empty components and accepts spikes, so the call can
+    return: the landscape is then dominated by a degenerate solution.
     """
     packed = dataset.packed()
     kept = _em_slots(packed, g, omega0, cfg, penalty_c, range(cfg.n_starts), False) or \
         _em_slots(packed, g, omega0, cfg, penalty_c, [cfg.n_starts], True)
     best = max(kept, key=lambda res: res.objective)
     best.traces = [trace for res in kept for trace in res.traces]
-    best.degenerate = bool(_spikes(packed, best.theta.sigma, best.model.omega[None]).any())
     return best
 
 

@@ -203,13 +203,13 @@ class StartFailed(Exception):
 def sequential_em_starts(dataset, g, omega0, cfg, penalty_c):
     """The random starts of ``em._run_starts`` one after another, each on
     one-slot kernel calls: start s draws from ``seeded_rng(cfg.seed, s)``,
-    is redrawn after a failed run (the last of ``em.MAX_REDRAWS`` redraws
-    floors) and discarded if that fails too; if every start is discarded, one
-    floored start that accepts spikes runs. Returns the kept starts as dicts
-    in start order, the first best of them, and the number of failed runs."""
+    is redrawn after a run that empties or spikes, up to ``em.MAX_REDRAWS``
+    times, and then discarded; if every start is discarded, one floored start
+    that accepts spikes runs. Returns the kept starts as dicts in start order,
+    the first best of them, and the number of failed runs."""
     packed = dataset.packed()
 
-    def run(rng, floor, allow_spikes):
+    def run(rng, floor):
         omega = omega0 if omega0 is not None else \
             rng.integers(0, 2, size=packed.d).astype(np.int8)
         tau, blocks = em._init_theta(packed, g, omega, rng)
@@ -217,8 +217,8 @@ def sequential_em_starts(dataset, g, omega0, cfg, penalty_c):
         omega, trace = omega[None], []
         for _ in range(cfg.max_iterations):
             tau, blocks, omega, _, empty, spiky = em._m_slots(
-                packed, t, omega, np.array([floor]), penalty_c)
-            if empty.any() or (spiky.any() and not allow_spikes):
+                packed, t, g, omega, floor, penalty_c)
+            if not floor and (empty.any() or spiky.any()):
                 raise StartFailed
             t, loglik = em._e_kernel(packed, tau, blocks)
             penalty = 0.0 if penalty_c is None else \
@@ -233,14 +233,14 @@ def sequential_em_starts(dataset, g, omega0, cfg, penalty_c):
     kept, failed = [], 0
     for s in range(cfg.n_starts):
         rng = seeded_rng(cfg.seed, s)
-        for redraw in range(em.MAX_REDRAWS + 1):
+        for _ in range(em.MAX_REDRAWS + 1):
             try:
-                kept.append({"start": s, **run(rng, redraw == em.MAX_REDRAWS, False)})
+                kept.append({"start": s, **run(rng, False)})
                 break
             except StartFailed:
                 failed += 1
     if not kept:
-        kept = [{"start": cfg.n_starts, **run(seeded_rng(cfg.seed, cfg.n_starts), True, True)}]
+        kept = [{"start": cfg.n_starts, **run(seeded_rng(cfg.seed, cfg.n_starts), True)}]
     best = max(kept, key=lambda start: start["trace"][-1])
     return kept, best, failed
 

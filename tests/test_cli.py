@@ -193,6 +193,19 @@ def test_cluster_more_components_than_rows_exits_one(tmp_path, capsys, criterion
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cluster_overflowing_cell_exits_one_without_model(tmp_path, capsys):
+    # a valid cell whose square overflows: Packed's squared-value row holds
+    # inf, the objective comes out NaN and dump_json refuses to write it
+    data, out = tmp_path / "big.csv", tmp_path / "run"
+    data.write_text("x,k\n0.5,1\n1e200,2\n2.5,4\n1.0,3\n")
+    code = main(["cluster", str(data), "--gmax", "2", "--starts", "2", "--seed", "1",
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("numerical failure")
+    assert not (out / "model.json").exists()
+
+
 @pytest.mark.parametrize("csv_text, schema_text", [
     ("x,k\n0.5,1\n1.5,nan\n2.5,4\n", None),
     ("x,k\n0.5,1\n1.5,inf\n2.5,4\n", None),
