@@ -402,15 +402,15 @@ def test_collapsed_fit_loglik_matches_the_oracle(make):
 def _stacked_cases():
     """(dataset, g, fixed omega or None, config, penalty or None, failed runs
     the case must show): every start spiking, some starts redrawn mid-stack,
-    every start emptying, a clean set, and one start stopping at the
-    iteration budget."""
+    every start emptying so that only the floored fallback start runs, a
+    clean set, and one start stopping at the iteration budget."""
     dup, g = _three_duplicate_pairs()
     clean, redrawn, budget = (_mixed_dataset(seed=s, missing=0.1) for s in (2, 0, 1))
     omega = np.array([1, 0, 1, 1], np.int8)
     return {
         "all-spiked": (dup, g, np.ones(1, np.int8), EmConfig(seed=0, n_starts=3), None, 33),
         "redrawn": (redrawn, 3, omega, EmConfig(seed=0, n_starts=5), None, 2),
-        "emptied": (_mixed_dataset(seed=0), 3, np.ones(4, np.int8), EmConfig(seed=0, n_starts=3),
+        "floored": (_mixed_dataset(seed=0), 3, np.ones(4, np.int8), EmConfig(seed=0, n_starts=3),
                     None, 33),
         "clean": (clean, 3, omega, EmConfig(seed=2, n_starts=5), None, 0),
         "budget": (budget, 3, None, EmConfig(seed=1, n_starts=5, max_iterations=50),
@@ -418,12 +418,12 @@ def _stacked_cases():
     }
 
 
-@pytest.mark.parametrize("case", ["all-spiked", "redrawn", "emptied", "clean", "budget"])
+@pytest.mark.parametrize("case", ["all-spiked", "redrawn", "floored", "clean", "budget"])
 def test_stacked_starts_match_the_sequential_reference(case, monkeypatch):
     from mixsel import em, map_partition
     from oracles import sequential_em_starts
     ds, g, omega0, cfg, c, failed = _stacked_cases()[case]
-    if case == "emptied":
+    if case == "floored":
         # a class under n/4 counts as empty: every start fails all 1 +
         # MAX_REDRAWS draws and is discarded, so the floored fallback runs
         monkeypatch.setattr(em, "EMPTY_COMPONENT_TOL", 0.25 * ds.n)
