@@ -23,6 +23,9 @@ from .simulate import (CONTINUOUS_TRIDIAG, MIXED_INDEP, InvalidShape,
 from .campaign import run_campaign
 from .util import dump_json
 
+# the errors that exit 1
+_NUMERICAL_FAILURES = (EmError, NoRoot, FloatingPointError, ValueError)
+
 
 def _manifest_id(argv) -> str:
     return hashlib.sha256(" ".join(argv).encode()).hexdigest()[:12]
@@ -56,7 +59,18 @@ def cmd_cluster(args, argv) -> int:
     schema = read_schema(args.schema) if args.schema else None
     dataset, info = read_csv(args.data, schema=schema)
     timings["ingest"] = time.perf_counter() - t0
+    created = not os.path.isdir(args.out)
     os.makedirs(args.out, exist_ok=True)
+    try:
+        return _cluster(args, argv, dataset, info, timings)
+    except _NUMERICAL_FAILURES:
+        # leave no empty output directory behind, and nothing a user put there
+        if created and not os.listdir(args.out):
+            os.rmdir(args.out)
+        raise
+
+
+def _cluster(args, argv, dataset, info, timings) -> int:
     mid = _manifest_id(argv)
 
     cfg = EmConfig(seed=args.seed, n_starts=args.starts)
@@ -218,7 +232,7 @@ def main(argv=None) -> int:
     except (DataError, LengthMismatch, InvalidShape, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EmError, NoRoot, FloatingPointError, ValueError) as exc:
+    except _NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

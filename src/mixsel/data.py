@@ -315,8 +315,9 @@ class Packed:
 
     One C-ordered (D, n) block ``cells`` holds every cell, n the inner axis;
     each of ``BLOCKS`` is a (columns, n) row slice of it (``onehot``:
-    (n_cat, m_max, n)). Missing cells are 0 in the value rows and excluded
-    through the 0/1 mask rows, so masked sums are plain matrix products.
+    (n_cat, m_max, n)), and ``block_rows`` maps its name to that slice.
+    Missing cells are 0 in the value rows and excluded through the 0/1 mask
+    rows, so masked sums are plain matrix products.
     Continuous cells are centered on their observed column mean (``shift``),
     so variances do not cancel at any location. ``one_class`` is
     ``em.one_class_fit``.
@@ -333,9 +334,10 @@ class Packed:
         self.m_max = int(self.m.max()) if gr.n_cat else 0
         rows = [gr.n_cont] * 3 + [gr.n_int] * 3 + [gr.n_cat, gr.n_cat * self.m_max]
         ends = np.cumsum(rows).tolist()
-        self._slices = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
+        self.block_rows = {name: slice(lo, hi)
+                           for name, lo, hi in zip(self.BLOCKS, [0] + ends, ends)}
         self.cells = np.zeros((ends[-1], self.n))
-        for name, block in zip(self.BLOCKS, self._slices):
+        for name, block in self.block_rows.items():
             setattr(self, name, self.cells[block])
         self.onehot = self.onehot.reshape(gr.n_cat, self.m_max, self.n)
         self.Mc[:], self.Mi[:], self.Mq[:] = MT[gr.cont], MT[gr.integer], MT[gr.cat]
@@ -360,7 +362,7 @@ class Packed:
     def split(self, S: np.ndarray) -> dict:
         """Views of the (g, D) class-sum block ``S``, one per named matrix,
         keyed by its name; ``onehot`` gives the (g, n_cat, m_max) level counts."""
-        sums = {name: S[:, block] for name, block in zip(self.BLOCKS, self._slices)}
+        sums = {name: S[:, block] for name, block in self.block_rows.items()}
         sums["onehot"] = sums["onehot"].reshape(len(S), self.groups.n_cat, self.m_max)
         return sums
 

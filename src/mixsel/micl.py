@@ -22,15 +22,22 @@ Under a hard partition every ln Gamma in a factor is taken at a hyperparameter
 plus an integer count, so ``MarginalTables`` tabulates them per column once
 (``math.lgamma``, counts 0..n + 1; a Poisson sum past ``LGAMMA_ROWS`` takes
 the Stirling series) and the factors read the tables. A row joining a class
-is scored in closed form on continuous columns (a rank-one update of the
-posterior scale) and categorical ones (ln(c + a) - ln(n + m·a)).
+is scored in closed form on every column kind (a rank-one update of the
+continuous posterior scale, the Poisson factor's per-class terms taken once,
+ln(c + a) - ln(n + m·a) at a categorical level), and so is a row leaving its
+class on continuous columns (a rank-one downdate) and categorical ones; a
+count leaving its class refits the Poisson factor.
 
 The partition step is a greedy sweep of single-row moves in a random order.
 It scores the next rows of the order as one block against the current state
 (``MiclState.candidate_values`` on many rows is one numpy pass) and takes the
 first improving move; the rows before it saw the state a row-by-row sweep
 would have seen, so the blocked sweep makes the same moves. A move is one
-column update: the row's column of ``Packed.cells`` changes rows of the sums.
+column update: the row's column of ``Packed.cells`` changes rows of the sums,
+and the per-column changes its scoring pass kept are added to the factors of
+the relevant columns. The factors of the irrelevant columns, which only the
+model step reads, are refit once per partition step. At g = 1 the answer is
+fixed (every label 1, no relevant column), so ``run_micl`` returns it directly.
 """
 from __future__ import annotations
 
@@ -112,43 +119,62 @@ def _phi_cat(n, cnt, a, ma, La, Lma):
     return np.where(n > 0, lev + Lma[:, 0] - _at(Lma, n), 0.0)
 
 
-def _refit(factor, S, dx, base, *consts):
-    """A factor's change when its class sums ``S`` (factors ``base``) move by
-    ``dx``, a row's entries joining (+) or leaving (-) the class."""
-    return factor(*(s + dxs for s, dxs in zip(S, dx)), *consts) - base
+def _refit(factor, S, a, x, base, *consts):
+    """A factor's changes when a row with entries ``x`` (keys, B, J) joins
+    each class, (B, g, J), and leaves its own class ``a``, (B, J): the
+    factor refit at the class sums ``S`` (keys, g, J) plus or minus the
+    entries, less the current factors ``base`` (g, J)."""
+    up = factor(*(s + v[:, None] for s, v in zip(S, x)), *consts) - base
+    return up, factor(*(s[a] - v for s, v in zip(S, x)), *consts) - base[a]
 
 
-def _cont_up(factor, S, dx, base, a, b2, c, d, G):
-    """``_refit`` of ``_phi_cont`` for a joining value x: it updates the
-    posterior scale by rank one, B2 + D/(D+1)·(x - m)² with D = d + n and
-    m = (d·c + s1)/D. The count gains 1 even on a missing cell."""
+def _cont_moves(factor, S, a, x, base, a0, b2, c, d, G):
+    """``_refit`` of ``_phi_cont`` by rank-one changes of the posterior
+    scale, with D = d + n and m = (d·c + s1)/D of the class: a joining value
+    x gives B2 + D/(D+1)·(x - m)², and a leaving one B2 - D/(D-1)·(x - m)².
+    The downdate is at least b² exactly, and is taken so, as rounding may
+    cancel it to 0 or below when x holds nearly all of the class's scatter.
+    A class left without an observed cell has factor 0. On a missing cell
+    the join still counts the row, and the leave keeps B2 and the count."""
     n, s1, s2 = S
-    D = d + n
-    B2 = _posterior_scale(n, s1, s2, b2, c, d) + D / (D + 1.0) * (dx[1] - (d * c + s1) / D) ** 2
-    return (_at(G, n + 1.0) - base) - 0.5 * (a + n + 1.0) * np.log(B2)
+    B2, D = _posterior_scale(n, s1, s2, b2, c, d), d + n
+    m = (d * c + s1) / D
+    up = x[1][:, None] - m  # (B, g, J), updated in place
+    np.square(up, out=up)
+    up *= D / (D + 1.0)
+    up += B2
+    np.log(up, out=up)
+    up *= 0.5 * (a0 + n + 1.0)
+    np.subtract(_at(G, n + 1.0) - base, up, out=up)
+    obs, n, D = x[0], n.take(a, axis=0), D.take(a, axis=0)
+    B2 = B2.take(a, axis=0) - obs * D / (D - obs) * (x[1] - m.take(a, axis=0)) ** 2
+    n = n - obs
+    down = np.where(n > 0, _at(G, n) - 0.5 * (a0 + n) * np.log(np.maximum(B2, b2)), 0.0)
+    return up, down - base.take(a, axis=0)
 
 
-def _cat_up(factor, S, dx, base, a, ma, *tables):
-    """``_refit`` of ``_phi_cat`` for a joining row, from the count n and the
-    count c of the row's level."""
-    return np.log(S[1] + a) - np.log(S[0] + ma)
+def _int_moves(factor, S, a, x, base, a0, b, const, LG):
+    """``_refit`` of ``_phi_int`` with the join in closed form: a joining
+    value x, with ln x! = l, gives const - (glg + l) + ln Gamma(a + s + x)
+    - (a + s + x)·ln(b + n + 1), the per-class terms taken once. On a
+    missing cell the join still counts the row."""
+    n, s, glg = S
+    v = s + x[1][:, None]  # (B, g, J)
+    up = _lgamma_at(LG, a0, v) - (a0 + v) * np.log(b + n + 1.0)
+    up += const - glg - base
+    up -= x[2][:, None]
+    left = (sums.take(a, axis=0) - entry for sums, entry in zip(S, x))
+    return up, factor(*left, a0, b, const, LG) - base.take(a, axis=0)
 
 
-def _cat_down(factor, S, dx, base, a, ma, *tables):
-    """``_refit`` of ``_phi_cat`` for a leaving row: ``_cat_up`` at the sums
-    without it, negated."""
-    return np.log(S[0] + dx[0] + ma) - np.log(S[1] + dx[1] + a)
-
-
-def _at_rows(s, J, lev, R, a):
-    """Columns J of a class sum as rows R read them, for every class and for
-    each row's own class ``a``: (g, J) and (B, J), or for a level-count sum
-    (g, ·, m), at each row's level ``lev`` (rows by J), (B, g, J)."""
-    if s.ndim == 2:
-        s = s.take(J, axis=1)
-        return s, s[a]
-    at = s.reshape(len(s), -1).take(lev.take(R, axis=0) + J * s.shape[2], axis=1)
-    return at.transpose(1, 0, 2), at[a, np.arange(len(R))]
+def _cat_moves(factor, S, a, x, base, a0, ma, *tables):
+    """``_refit`` of ``_phi_cat`` from the count n and the count c of the
+    row's level (``S`` (2, B, g, J), read at each row's level): ln(c + a) -
+    ln(n + m·a) for a joining row, and that at its own class's sums without
+    it, negated, for a leaving one."""
+    up = np.log(S[1] + a0) - np.log(S[0] + ma)
+    n, c = S[:, np.arange(len(a)), a] - x
+    return up, np.log(n + ma) - np.log(c + a0)
 
 
 def log_dirichlet_proportion_term(nk, u: float) -> float:
@@ -163,8 +189,7 @@ def log_dirichlet_proportion_term(nk, u: float) -> float:
 # dataset-level constant tables
 # ---------------------------------------------------------------------------
 
-Kind = namedtuple("Kind", "cols keys factor consts up down level",
-                  defaults=[_refit, _refit, None])
+Kind = namedtuple("Kind", "cols keys factor consts moves level", defaults=[_refit, None])
 
 
 class MarginalTables:
@@ -172,11 +197,12 @@ class MarginalTables:
     ``Kind`` per column kind: its dataset columns, the ``Packed.class_sums``
     keys its factor reads (observed count first), the factor, its per-column
     constants (one table row per column), the factor's changes when a row
-    joins a class and leaves its own, and, for a kind whose last class sum
-    has a level axis, each cell's level. ``glob`` holds, per kind, the global
-    (one-group) marginal of every column, which is what an irrelevant column
-    contributes for any partition. The continuous prior mean ``c`` is shifted
-    with ``Packed``'s centered cells, which leaves every marginal unchanged."""
+    joins a class and leaves its own (``_refit``'s signature), and, for a
+    kind whose last class sum has a level axis, each cell's level. ``glob``
+    holds, per kind, the global (one-group) marginal of every column, which
+    is what an irrelevant column contributes for any partition. The
+    continuous prior mean ``c`` is shifted with ``Packed``'s centered cells,
+    which leaves every marginal unchanged."""
 
     def __init__(self, dataset: Dataset, hyper: Hyperparameters):
         self.hyper = hyper
@@ -194,9 +220,9 @@ class MarginalTables:
         integer = (a, b, a * np.log(b) - lg[:, 0], lg)
         a, ma = hyper.cat_a, p.m * hyper.cat_a
         cat = (a, ma, _lgamma_table(a, p.n + 2), _lgamma_table(ma, p.n + 2))
-        kinds = (Kind(gr.cont, ("Mc", "Xc", "Xc2"), _phi_cont, cont, _cont_up),
-                 Kind(gr.integer, ("Mi", "Xi", "lgam"), _phi_int, integer),
-                 Kind(gr.cat, ("Mq", "onehot"), _phi_cat, cat, _cat_up, _cat_down, p.codes))
+        kinds = (Kind(gr.cont, ("Mc", "Xc", "Xc2"), _phi_cont, cont, _cont_moves),
+                 Kind(gr.integer, ("Mi", "Xi", "lgam"), _phi_int, integer, _int_moves),
+                 Kind(gr.cat, ("Mq", "onehot"), _phi_cat, cat, _cat_moves, p.codes))
         # a kind without columns would only add empty factor calls to each move
         self.kinds = tuple(kind for kind in kinds if kind.cols.size)
         # the global marginal is the per-class factor of the one-class partition
@@ -217,13 +243,17 @@ class MiclState:
     ``ValueError``). ``st`` holds the class sizes ``nk`` and the views
     (``Packed.split``) of the (g, D) class-sum block ``S``.
 
-    Each column kind scores a row joining class k (``up``) from k's sums and
-    the row's entries, and a row leaving its class a (``down``) from a's sums
+    Each column kind scores (``Kind.moves``) a row joining class k from k's
+    sums and the row's entries, and a row leaving its class a from a's sums
     minus them: by refitting the factor or by a closed-form change; a level
     count is read at the row's level only. ``candidate_values`` scores a
     block of rows against the frozen state in one pass over the relevant
-    columns, where a missing cell adds exactly 0; ``apply_move`` then moves
-    the one row's column of ``Packed.cells`` between two rows of ``S``.
+    columns, where a missing cell adds exactly 0, and keeps those per-column
+    changes; ``apply_move`` then moves the one row's column of
+    ``Packed.cells`` between two rows of ``S`` and adds the row's kept
+    changes to the two classes' factors. So between model steps ``phi`` is
+    exact on the relevant columns only; ``partition_step`` and
+    ``model_update`` refit all of it before they read it.
     """
 
     def __init__(self, tables: MarginalTables, model: Model, z):
@@ -250,19 +280,24 @@ class MiclState:
 
     def _set_rel_masks(self):
         """Per kind, the relevance of its columns, and what ``candidate_values``
-        reads of the relevant columns J: (J, each row's level in J or None,
-        the row's entry of each class sum the kind reads, constants).
-        A row's entry of a level-count sum is its one-hot at its own level.
-        The (n, J) cells are copied out of ``Packed``'s (columns, n) rows."""
+        reads of the relevant columns J: (J, the (keys, J) columns of ``S``
+        holding the class sums the kind reads, each row's (keys, J) entries
+        there, constants). A level-count sum is read at each row's own level,
+        so its columns are per row, (keys, n, J), and the row's entry there is
+        1 on an observed cell. The entries are copied out of ``Packed.cells``
+        as one (keys, n, J) array. Drops the last scored block."""
         p = self.tables.packed
-        rows = np.arange(p.n)[:, None]
         self.rel = tuple(self.model.omega[k.cols] == 1 for k in self.tables.kinds)
         self._rel_cells = []
+        self._scored = None
         for kind, J in zip(self.tables.kinds, map(np.flatnonzero, self.rel)):
-            lev = None if kind.level is None else kind.level[J].T.copy()
-            cells = [getattr(p, key) for key in kind.keys]
-            cells = [c[J].T.copy() if c.ndim == 2 else c[J, lev, rows] for c in cells]
-            self._rel_cells.append((J, lev, cells, [v[J] for v in kind.consts]))
+            at = [p.block_rows[key].start + (J[:, None] if getattr(p, key).ndim == 2
+                                             else J[:, None] * p.m_max + kind.level[J])
+                  for key in kind.keys]
+            at = np.stack(np.broadcast_arrays(*at))  # (keys, J, 1 or n)
+            cells = p.cells[at, np.arange(p.n)].transpose(0, 2, 1).copy()
+            cols = at[..., 0] if at.shape[2] == 1 else at.transpose(0, 2, 1).copy()
+            self._rel_cells.append((J, cols, cells, [v[J] for v in kind.consts]))
 
     def _value(self) -> float:
         total = log_dirichlet_proportion_term(self.st["nk"], self.tables.hyper.u)
@@ -278,44 +313,61 @@ class MiclState:
         state: shape (B, g), the entry of a row's own component being the
         current value.
 
-        One pass over the block: per kind, the (B, g, J) "up" factors (the
-        row joins class k) and the (B, J) "down" factors (it leaves its own
-        class) over the J relevant columns; a missing cell adds exactly 0."""
+        One pass over the block: per kind, one gather of its class sums at
+        the J relevant columns, then the (B, g, J) "up" changes (the row joins
+        class k) and the (B, J) "down" changes (it leaves its own class); a
+        missing cell adds exactly 0. The state keeps these changes until the
+        next move, for ``apply_move``."""
         nk, u = self.st["nk"], self.tables.hyper.u
         idx = np.arange(len(rows))
         a = self.zi[rows]
         vals = np.log(nk + u) - np.log(nk[a] - 1.0 + u)[:, None]
         rem = np.zeros(len(rows))
-        for kind, phi, (J, lev, cells, cj) in zip(self.tables.kinds, self.phi, self._rel_cells):
-            if J.size:
-                x = [c.take(rows, axis=0) for c in cells]
-                obs = x[0] > 0
-                Sk, Sa = zip(*(_at_rows(self.st[key], J, lev, rows, a) for key in kind.keys))
-                base = phi.take(J, axis=1)
-                up = kind.up(kind.factor, Sk, [xr[:, None] for xr in x], base, *cj)
-                vals += np.where(obs[:, None, :], up, 0.0).sum(axis=2)
-                down = kind.down(kind.factor, Sa, [-xr for xr in x], base[a], *cj)
-                rem += np.where(obs, down, 0.0).sum(axis=1)
+        changes = []
+        for kind, phi, (J, cols, cells, cj) in zip(self.tables.kinds, self.phi, self._rel_cells):
+            if not J.size:
+                changes.append(None)
+                continue
+            x = cells.take(rows, axis=1)  # (keys, B, J)
+            if cols.ndim == 2:
+                S = self.S.take(cols, axis=1).transpose(1, 0, 2)  # (keys, g, J)
+            else:  # at each row's level: (keys, B, g, J)
+                S = self.S.take(cols[:, rows], axis=1).transpose(1, 2, 0, 3)
+            up, down = kind.moves(kind.factor, S, a, x, phi.take(J, axis=1), *cj)
+            miss = x[0] == 0
+            np.copyto(up, 0.0, where=miss[:, None, :])
+            np.copyto(down, 0.0, where=miss)
+            vals += up.sum(axis=2)
+            rem += down.sum(axis=1)
+            changes.append((up, down))
+        self._scored = (rows, changes)
         vals = self.log_icl + vals + rem[:, None]
         vals[idx, a] = self.log_icl
         return vals
 
     def apply_move(self, i: int, k: int, new_value: float) -> None:
         """Reassign observation i to component k (0-based): move its column of
-        ``Packed.cells`` between two rows of ``S``, refit the two classes'
-        factors and take ``new_value`` (from ``candidate_values``) as the value."""
+        ``Packed.cells`` between two rows of ``S``, add the changes that the
+        last ``candidate_values`` pass kept for row i to the two classes'
+        factors of the relevant columns, and take ``new_value`` (from that
+        pass) as the value. ``ValueError`` if that pass did not score row i."""
+        hit = None if self._scored is None else np.flatnonzero(self._scored[0] == i)
+        if hit is None or not hit.size:
+            raise ValueError(f"row {i} is not in the last scored block")
         a = self.zi[i]
         if k == a:
             return
-        p = self.tables.packed
+        p, b = self.tables.packed, hit[0]
         self.S[a] -= p.cells[:, i]
         self.S[k] += p.cells[:, i]
         self.st["nk"][[a, k]] += (-1.0, 1.0)
-        new = self.tables.factors(p.split(self.S[[a, k]]))
-        for phi, two in zip(self.phi, new):
-            phi[[a, k]] = two
+        for phi, (J, *_), change in zip(self.phi, self._rel_cells, self._scored[1]):
+            if change is not None:
+                phi[a, J] += change[1][b]
+                phi[k, J] += change[0][b, k]
         self.zi[i] = k
         self.log_icl = new_value
+        self._scored = None
 
     # -- block updates --------------------------------------------------------
 
@@ -323,6 +375,7 @@ class MiclState:
         """Set every omega_j to the per-column argmax of the marginal
         (strict inequality keeps a column relevant; ties drop it). Returns
         True when omega changed."""
+        self.phi = self.tables.factors(self.st)
         omega = np.zeros(self.tables.packed.d, dtype=np.int8)
         for kind, phi, glob in zip(self.tables.kinds, self.phi, self.tables.glob):
             omega[kind.cols] = phi.sum(0) > glob
@@ -390,6 +443,7 @@ def partition_step(state: MiclState, *, rng: np.random.Generator) -> MiclState:
             pos += f + 1
         if not moved:
             break
+    state.phi = state.tables.factors(state.st)
     state.log_icl = state._value()
     return state
 
@@ -416,10 +470,16 @@ def run_micl(dataset: Dataset, g: int, hyper: Hyperparameters,
     small-budget EM, takes the MAP partition, then alternates partition and
     model steps until neither improves the objective. ``tables`` defaults to
     ``MarginalTables(dataset, hyper)``, built once by a caller sweeping g.
+    At g = 1 every start ends at the same state: every label 1 and, as the
+    one class's factors equal the global ones, no column relevant. That
+    state is returned without running the starts.
 
     Returns (Model, 1-based hard labels, objective value).
     """
     tables = MarginalTables(dataset, hyper) if tables is None else tables
+    if g == 1:
+        model, z = Model(1, np.zeros(dataset.d, dtype=np.int8)), np.ones(dataset.n, dtype=np.intp)
+        return model, z, MiclState(tables, model, z).log_icl
     best: tuple | None = None
     for s in range(config.n_starts):
         rng = seeded_rng(config.seed, 91, s)

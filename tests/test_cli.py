@@ -204,6 +204,7 @@ def test_cluster_overflowing_cell_exits_one_without_model(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.splitlines()[-1].startswith("numerical failure")
     assert not (out / "model.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("csv_text, schema_text", [

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -228,7 +229,11 @@ def test_incremental_statistics_match_recomputation():
         assert np.allclose(phi, want, atol=1e-9)
 
 
-def test_run_micl_single_component():
+def test_run_micl_single_component(monkeypatch):
+    def no_em(*args, **kwargs):
+        raise AssertionError("g = 1 runs no start EM")
+
+    monkeypatch.setattr(micl, "run_em", no_em)
     ds = _mixed_dataset(seed=12)
     h = Hyperparameters.default(ds)
     model, z, value = run_micl(ds, 1, h, MiclConfig(seed=1, n_starts=2))
@@ -363,6 +368,86 @@ def test_candidate_values_with_many_levels_equal_rebuilt_states():
             zi[i] = k
             want = MiclState(tables, state.model, zi + 1).log_icl
             assert block[i, k] == pytest.approx(want, rel=0, abs=1e-9), (i, k)
+
+
+def test_continuous_moves_match_refit():
+    """The closed-form join and leave of a continuous value are the refit
+    factors of the class with and without it, on random class sums of 1..20
+    values; a class losing its only observed cell goes to factor 0, and a
+    missing cell leaving its class changes nothing."""
+    rng = np.random.default_rng(27)
+    J, g = 5, 200
+    ds = Dataset(rng.normal(size=(30, J)), [CONT] * J)
+    h = replace(Hyperparameters.default(ds), cont_a=rng.uniform(0.5, 3.0, J),
+                cont_b=rng.uniform(0.1, 3.0, J), cont_d=rng.uniform(0.005, 2.0, J))
+    kind = MarginalTables(ds, h).kinds[0]
+    n = rng.integers(1, 21, (g, J)).astype(float)
+    n[:20] = 1.0
+    loc, scale = rng.normal(0.0, 3.0, (g, J)), rng.uniform(0.1, 5.0, (g, J))
+    values = loc + scale * rng.normal(size=(20, g, J))
+    values[np.arange(20)[:, None, None] >= n] = 0.0  # n[k, j] values in class k
+    S = np.stack([n, values.sum(axis=0), (values ** 2).sum(axis=0)])
+    base = micl._phi_cont(*S, *kind.consts)
+    a = np.arange(g)  # row b is the first value of class b
+    x = np.stack([np.ones((g, J)), values[0], values[0] ** 2])
+    up, down = micl._cont_moves(micl._phi_cont, S, a, x, base, *kind.consts)
+    want_up, want_down = micl._refit(micl._phi_cont, S, a, x, base, *kind.consts)
+    assert np.allclose(up, want_up, rtol=0, atol=1e-9)
+    assert np.allclose(down, want_down, rtol=0, atol=1e-9)
+    assert np.array_equal(down[:20], -base[:20])
+    _, down = micl._cont_moves(micl._phi_cont, S, a, np.zeros_like(x), base, *kind.consts)
+    assert np.array_equal(down, np.zeros((g, J)))
+
+
+def test_integer_moves_match_refit():
+    """The closed-form join of a count is the refit factor of the class with
+    it, on random class sums of 1..21 counts, some past the ln Gamma table;
+    the leave is the refit."""
+    rng = np.random.default_rng(31)
+    J, g = 4, 200
+    ds = Dataset(rng.poisson(3.0, (30, J)).astype(float), [INT] * J)
+    h = replace(Hyperparameters.default(ds), int_a=rng.uniform(0.2, 5.0, J),
+                int_b=rng.uniform(0.1, 5.0, J))
+    kind = MarginalTables(ds, h).kinds[0]
+    n = rng.integers(1, 22, (g, J))
+    counts = rng.poisson(rng.choice([0.5, 4.0, 150.0], (g, J)), (21, g, J)).astype(float)
+    counts[np.arange(21)[:, None, None] >= n] = 0.0  # n[k, j] counts in class k
+    S = np.stack([n.astype(float), counts.sum(axis=0), gammaln(counts + 1.0).sum(axis=0)])
+    assert (S[1] >= micl.LGAMMA_ROWS).any()
+    base = micl._phi_int(*S, *kind.consts)
+    a = rng.integers(0, g, g)  # row b is the first count of class a[b]
+    v = counts[0, a]
+    x = np.stack([np.ones((g, J)), v, gammaln(v + 1.0)])
+    up, down = micl._int_moves(micl._phi_int, S, a, x, base, *kind.consts)
+    want_up, want_down = micl._refit(micl._phi_int, S, a, x, base, *kind.consts)
+    assert np.allclose(up, want_up, rtol=0, atol=1e-9)
+    assert np.array_equal(down, want_down)
+
+
+def test_partition_step_leaves_every_factor_exact():
+    """Moves update the factors of the relevant columns only; a partition
+    step ends with every factor and the value of a rebuilt state."""
+    ds, tables, state = _moved_state(28)
+    assert not state.model.omega.all()
+    partition_step(state, rng=np.random.default_rng(29))
+    fresh = MiclState(tables, state.model, state.z)
+    for phi, want in zip(state.phi, fresh.phi, strict=True):
+        assert np.allclose(phi, want, rtol=0, atol=1e-9)
+    assert state.log_icl == pytest.approx(fresh.log_icl, rel=0, abs=1e-9)
+
+
+def test_apply_move_needs_the_row_scored_in_the_last_block():
+    ds, tables, state = _moved_state(30)
+    fresh = MiclState(tables, state.model, state.z)
+    with pytest.raises(ValueError):
+        fresh.apply_move(0, 1, 0.0)
+    vals = state.candidate_values(np.arange(10))
+    with pytest.raises(ValueError):
+        state.apply_move(20, 1, 0.0)
+    k = (state.zi[3] + 1) % state.model.g
+    state.apply_move(3, k, float(vals[3, k]))
+    with pytest.raises(ValueError):  # a move spends the scored block
+        state.apply_move(4, k, float(vals[4, k]))
 
 
 def _sequential_partition_step(state, rng):
