@@ -53,6 +53,17 @@ def _block_json(theta, dataset, j, k):
     return {"probs": [float(p) for p in block]}
 
 
+def _write_partition(path, mid, partition, fuzzy) -> None:
+    """``partition.csv``: row number, hard label and the g responsibilities
+    (``repr`` of each float) per row, in one ``writerows`` pass."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# manifest_id: {mid}\n")
+        w = csv.writer(fh)
+        w.writerow(["row", "label"] + [f"t_{k + 1}" for k in range(fuzzy.shape[1])])
+        w.writerows([i, z, *map(repr, row)]
+                    for i, (z, row) in enumerate(zip(partition.tolist(), fuzzy.tolist()), 1))
+
+
 def cmd_cluster(args, argv) -> int:
     timings = {}
     t0 = time.perf_counter()
@@ -98,14 +109,8 @@ def _cluster(args, argv, dataset, info, timings) -> int:
     timings["fit_per_g"] = [rec.runtime_s for rec in report.records]
 
     g = report.best.g
-    with open(os.path.join(args.out, "partition.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        fh.write(f"# manifest_id: {mid}\n")
-        w = csv.writer(fh)
-        w.writerow(["row", "label"] + [f"t_{k + 1}" for k in range(g)])
-        for i in range(dataset.n):
-            w.writerow([i + 1, int(report.partition[i])]
-                       + [repr(float(t)) for t in report.fuzzy[i]])
+    _write_partition(os.path.join(args.out, "partition.csv"), mid,
+                     report.partition, report.fuzzy)
 
     dump_json({
         "manifest_id": mid,

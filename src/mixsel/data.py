@@ -212,7 +212,7 @@ class Model:
         if self.g < 1:
             raise ValueError("g must be >= 1")
         om = np.asarray(self.omega)
-        if not np.isin(om, (0, 1)).all():
+        if not ((om == 0) | (om == 1)).all():
             raise ValueError("omega entries must be 0 or 1")
         self.omega = om.astype(np.int8)
 
@@ -220,10 +220,16 @@ class Model:
         return Model(self.g, self.omega.copy())
 
 
-def count_params(model: Model, kinds) -> int:
+def _block_sizes(kinds) -> np.ndarray:
+    """Free parameters of each column's block, as floats."""
+    return np.array([k.n_free_params for k in kinds], dtype=float)
+
+
+def count_params(model: Model, kinds, nu: np.ndarray | None = None) -> int:
     """Free-parameter count: g-1 proportions plus, per column, one block per
-    component if relevant and a single shared block otherwise."""
-    nu = np.array([k.n_free_params for k in kinds], dtype=float)
+    component if relevant and a single shared block otherwise. ``nu`` is
+    ``kinds``' block sizes when the caller holds them (``Packed.nu``)."""
+    nu = _block_sizes(kinds) if nu is None else nu
     return int(model.g - 1 + (nu * np.where(model.omega == 1, model.g, 1)).sum())
 
 
@@ -355,7 +361,7 @@ class Packed:
         self.onehot[:] = (self.codes[:, None] == levels[:, None]) & MT[gr.cat][:, None]
         self.level_mask = levels < self.m[:, None]
         self.kinds = ds.kinds
-        self.nu = np.array([k.n_free_params for k in ds.kinds], dtype=float)  # per column
+        self.nu = _block_sizes(ds.kinds)  # per column
         from .em import one_class_fit  # local import: em imports this module
         self.one_class = one_class_fit(self)
 

@@ -402,7 +402,7 @@ def _em_slots(packed: Packed, g: int, omega0, cfg: EmConfig, penalty_c: float | 
                 # the penalty only changes with omega
                 model = run[1] = Model(g, omega[i])
                 if penalty_c is not None:
-                    penalty = run[2] = count_params(model, packed.kinds) * penalty_c
+                    penalty = run[2] = count_params(model, packed.kinds, packed.nu) * penalty_c
             obj, prev = float(loglik[i]) - penalty, trace[-1] if trace else -np.inf
             converged = prev > -np.inf and \
                 abs(obj - prev) / (abs(prev) + 1.0) < cfg.rel_tolerance

@@ -7,11 +7,18 @@ optionally ``name:cat:level1|level2``) or are inferred: numeric with a decimal
 point/exponent -> cont, numeric integral and nonnegative -> int, otherwise cat
 with levels mapped 1..m in sorted order. Level mappings always land in the run
 manifest so results are reproducible.
+
+``csv.reader`` is the one parser. ``read_csv`` then works a column at a
+time: one ``str.strip`` pass, one ``float`` pass (the missing tokens read
+as ``nan``) or one level lookup, and the mask from the NaNs. A column whose
+NaN count differs from its missing-token count holds a literal ``nan`` cell,
+and only then is each cell tested for a missing token. The cell that stops a
+column's parse is located only after the column fails.
 """
 from __future__ import annotations
 
 import csv
-from itertools import compress
+from itertools import filterfalse
 
 import numpy as np
 
@@ -19,26 +26,25 @@ from .data import CAT, CONT, INT, DataError, Dataset, VariableKind
 
 MISSING_TOKEN = "NA"
 _MISSING = frozenset(("", MISSING_TOKEN))
+_AS_NAN = dict.fromkeys(_MISSING, "nan")  # what float() reads a missing cell as
 
 
 def _numeric(raw: str):
+    """One cell's float (NaN for a missing token), None if it is not numeric."""
     try:
-        return float(raw)
+        return float(_AS_NAN.get(raw, raw))
     except ValueError:
         return None
 
 
 def infer_kind(values: list[str]) -> str:
     """Kind of a column from its observed raw strings."""
-    floats = []
-    for raw in values:
-        x = _numeric(raw)
-        if x is None:
-            return CAT
-        floats.append((raw, x))
-    if any(("." in raw) or ("e" in raw) or ("E" in raw) for raw, _ in floats):
-        return CONT
-    if any(x != np.floor(x) or x < 0 for _, x in floats):
+    try:
+        x = np.array(list(map(float, values)))
+    except ValueError:
+        return CAT
+    text = "".join(values)
+    if "." in text or "e" in text or "E" in text or ((x != np.floor(x)) | (x < 0)).any():
         return CONT
     return INT
 
@@ -78,7 +84,7 @@ def read_csv(path: str, schema: dict | None = None):
         raise DataError(f"{path}: need a header row and at least one data row")
     (_, header), *body = rows
     names = [c.strip() for c in header]
-    d = len(names)
+    n, d = len(body), len(names)
     seen = set()
     for name in names:
         if name in seen:
@@ -89,41 +95,49 @@ def read_csv(path: str, schema: dict | None = None):
             raise DataError(f"{path}:{line}: expected {d} fields, got {len(row)}")
     kinds: list[VariableKind] = []
     info = {"kinds": {}, "source": {}, "categorical_levels": {}}
-    X = np.empty((len(body), d))
-    mask = np.empty((len(body), d), dtype=bool)  # only NA or "" is missing, not "nan"
+    XT = np.empty((d, n))
+    maskT = np.empty((d, n), dtype=bool)  # only NA or "" is missing, not "nan"
     cat_labels = {}
     columns = zip(*(row for _, row in body))
     for j, (name, col) in enumerate(zip(names, columns)):
-        col = [c.strip() for c in col]
-        present = [raw not in _MISSING for raw in col]
-        observed = list(compress(col, present))
+        col = list(map(str.strip, col))
         declared = schema.get(name) if schema else None
         if schema is not None and declared is None:
             raise DataError(f"{path}: column {name!r} missing from the schema")
-        tag, levels = declared if declared else (infer_kind(observed), None)
+        tag, levels = declared if declared else \
+            (infer_kind(list(filterfalse(_MISSING.__contains__, col))), None)
         info["source"][name] = "declared" if declared else "inferred"
         if tag == CAT:
             if levels is None:
-                levels = sorted(set(observed))
+                levels = sorted(set(col) - _MISSING)
             if len(levels) < 2:
                 raise DataError(f"{path}: categorical column {name!r} needs >= 2 levels")
             kinds.append(VariableKind.categorical(len(levels)))
             cat_labels[j] = list(levels)
             info["categorical_levels"][name] = list(levels)
-            parse = {lab: float(h + 1) for h, lab in enumerate(levels)}.get
-            problem = "is not a declared level"
+            lookup = {lab: float(h + 1) for h, lab in enumerate(levels)}
+            lookup.update(dict.fromkeys(_MISSING, np.nan))
+            values = list(map(lookup.get, col))
+            bad, problem = None in values, "is not a declared level"
         else:
             kinds.append(VariableKind.continuous() if tag == CONT
                          else VariableKind.integer())
-            parse, problem = _numeric, "is not numeric"
-        values = [parse(raw) if ok else np.nan for raw, ok in zip(col, present)]
-        if None in values:
+            try:
+                values, bad = list(map(float, map(_AS_NAN.get, col, col))), False
+            except ValueError:
+                values, bad = list(map(_numeric, col)), True
+            problem = "is not numeric"
+        if bad:
             i = values.index(None)
             raise DataError(f"{path}: cell ({i + 1}, {name!r}) = {col[i]!r} {problem}")
-        X[:, j] = values
-        mask[:, j] = present
+        XT[j] = values
+        observed = ~np.isnan(XT[j])
+        if tag != CAT and n - np.count_nonzero(observed) != \
+                col.count("") + col.count(MISSING_TOKEN):
+            observed = [raw not in _MISSING for raw in col]  # a literal nan cell
+        maskT[j] = observed
         info["kinds"][name] = tag
-    ds = Dataset(X, kinds, names=names, mask=mask, cat_labels=cat_labels)
+    ds = Dataset(XT.T, kinds, names=names, mask=maskT.T, cat_labels=cat_labels)
     return ds, info
 
 

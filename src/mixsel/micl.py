@@ -251,15 +251,16 @@ class MiclState:
     columns, where a missing cell adds exactly 0, and keeps those per-column
     changes; ``apply_move`` then moves the one row's column of
     ``Packed.cells`` between two rows of ``S`` and adds the row's kept
-    changes to the two classes' factors. So between model steps ``phi`` is
-    exact on the relevant columns only; ``partition_step`` and
-    ``model_update`` refit all of it before they read it.
+    changes to the two classes' factors. So after a move ``phi`` is exact on
+    the relevant columns only; ``partition_step`` and ``model_update`` refit
+    all of it before they read it, unless no move was made since the last
+    refit.
     """
 
     def __init__(self, tables: MarginalTables, model: Model, z):
         p = tables.packed
         z = np.asarray(z)
-        if z.shape != (p.n,) or not np.isin(z, np.arange(1, model.g + 1)).all() \
+        if z.shape != (p.n,) or not ((z >= 1) & (z <= model.g) & (z % 1 == 0)).all() \
                 or model.omega.shape != (p.d,):
             raise ValueError(f"need {p.n} labels in 1..{model.g} and {p.d} omega entries")
         self.tables = tables
@@ -269,7 +270,8 @@ class MiclState:
         Z[self.zi, np.arange(p.n)] = 1.0
         self.S = Z @ p.cells.T
         self.st = {**p.split(self.S), "nk": Z.sum(axis=1)}
-        self.phi = tables.factors(self.st)
+        self._exact = False  # phi is the refit of the current class sums
+        self._refit_phi()
         self._set_rel_masks()
         self.log_icl = self._value()
 
@@ -298,6 +300,13 @@ class MiclState:
             cells = p.cells[at, np.arange(p.n)].transpose(0, 2, 1).copy()
             cols = at[..., 0] if at.shape[2] == 1 else at.transpose(0, 2, 1).copy()
             self._rel_cells.append((J, cols, cells, [v[J] for v in kind.consts]))
+
+    def _refit_phi(self):
+        """Refit every factor from the class sums, unless ``phi`` is their
+        refit already (no move since the last one)."""
+        if not self._exact:
+            self.phi = self.tables.factors(self.st)
+            self._exact = True
 
     def _value(self) -> float:
         total = log_dirichlet_proportion_term(self.st["nk"], self.tables.hyper.u)
@@ -368,6 +377,7 @@ class MiclState:
         self.zi[i] = k
         self.log_icl = new_value
         self._scored = None
+        self._exact = False
 
     # -- block updates --------------------------------------------------------
 
@@ -375,7 +385,7 @@ class MiclState:
         """Set every omega_j to the per-column argmax of the marginal
         (strict inequality keeps a column relevant; ties drop it). Returns
         True when omega changed."""
-        self.phi = self.tables.factors(self.st)
+        self._refit_phi()
         omega = np.zeros(self.tables.packed.d, dtype=np.int8)
         for kind, phi, glob in zip(self.tables.kinds, self.phi, self.tables.glob):
             omega[kind.cols] = phi.sum(0) > glob
@@ -443,7 +453,7 @@ def partition_step(state: MiclState, *, rng: np.random.Generator) -> MiclState:
             pos += f + 1
         if not moved:
             break
-    state.phi = state.tables.factors(state.st)
+    state._refit_phi()
     state.log_icl = state._value()
     return state
 

@@ -5,19 +5,22 @@ marginals are computed by adaptive quadrature of the prior-times-likelihood
 integrand, categorical marginals and the proportion factor by the sequential
 predictive (urn) product. Intended for small inputs (n <= ~25). Below them,
 the cell-by-cell references for the vectorized EM kernels, the EM starts run
-one after another, and the Monte-Carlo Bayes risk of the mixed simulation
-design.
+one after another, the Monte-Carlo Bayes risk of the mixed simulation
+design, and the cell-by-cell CSV reader and row-by-row ``partition.csv``
+writer that ``mixsel.io.read_csv`` and ``mixsel.cli`` are tested against.
 """
 from __future__ import annotations
 
+import csv
 import math
+from itertools import compress
 
 import numpy as np
 from scipy import integrate, optimize
 from scipy.special import gammaln
 
 from mixsel import em
-from mixsel.data import CONT, INT, Model, count_params
+from mixsel.data import CAT, CONT, INT, DataError, Dataset, Model, VariableKind, count_params
 from mixsel.densities import floor_probs, floor_rate, floor_sigma, normal_logpdf
 from mixsel.util import seeded_rng
 
@@ -272,3 +275,100 @@ def mixed_bayes_error(delta: float, n_draws: int, seed: int) -> float:
     xb = rng.binomial(1, 0.7, size=(half, 2)).astype(float)
     err2 = np.mean(mixed_log_ratio(xc, xi, xb, delta) <= 0)
     return 0.5 * float(err1 + err2)
+
+
+_MISSING = frozenset(("", "NA"))
+
+
+def _numeric(raw: str):
+    try:
+        return float(raw)
+    except ValueError:
+        return None
+
+
+def infer_kind_per_cell(values: list[str]) -> str:
+    """Kind of a column from its observed raw strings, one cell at a time."""
+    floats = []
+    for raw in values:
+        x = _numeric(raw)
+        if x is None:
+            return CAT
+        floats.append((raw, x))
+    if any(("." in raw) or ("e" in raw) or ("E" in raw) for raw, _ in floats):
+        return CONT
+    if any(x != np.floor(x) or x < 0 for _, x in floats):
+        return CONT
+    return INT
+
+
+def read_csv_per_cell(path: str, schema: dict | None = None):
+    """The reference for ``mixsel.io.read_csv``: every cell stripped, tested
+    for a missing token and parsed on its own."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader
+                if row and not (row[0].startswith("#") and len(row) == 1)]
+    if len(rows) < 2:
+        raise DataError(f"{path}: need a header row and at least one data row")
+    (_, header), *body = rows
+    names = [c.strip() for c in header]
+    d = len(names)
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise DataError(f"{path}: duplicate column name {name!r}")
+        seen.add(name)
+    for line, row in body:
+        if len(row) != d:
+            raise DataError(f"{path}:{line}: expected {d} fields, got {len(row)}")
+    kinds: list[VariableKind] = []
+    info = {"kinds": {}, "source": {}, "categorical_levels": {}}
+    X = np.empty((len(body), d))
+    mask = np.empty((len(body), d), dtype=bool)  # only NA or "" is missing, not "nan"
+    cat_labels = {}
+    columns = zip(*(row for _, row in body))
+    for j, (name, col) in enumerate(zip(names, columns)):
+        col = [c.strip() for c in col]
+        present = [raw not in _MISSING for raw in col]
+        observed = list(compress(col, present))
+        declared = schema.get(name) if schema else None
+        if schema is not None and declared is None:
+            raise DataError(f"{path}: column {name!r} missing from the schema")
+        tag, levels = declared if declared else (infer_kind_per_cell(observed), None)
+        info["source"][name] = "declared" if declared else "inferred"
+        if tag == CAT:
+            if levels is None:
+                levels = sorted(set(observed))
+            if len(levels) < 2:
+                raise DataError(f"{path}: categorical column {name!r} needs >= 2 levels")
+            kinds.append(VariableKind.categorical(len(levels)))
+            cat_labels[j] = list(levels)
+            info["categorical_levels"][name] = list(levels)
+            parse = {lab: float(h + 1) for h, lab in enumerate(levels)}.get
+            problem = "is not a declared level"
+        else:
+            kinds.append(VariableKind.continuous() if tag == CONT
+                         else VariableKind.integer())
+            parse, problem = _numeric, "is not numeric"
+        values = [parse(raw) if ok else np.nan for raw, ok in zip(col, present)]
+        if None in values:
+            i = values.index(None)
+            raise DataError(f"{path}: cell ({i + 1}, {name!r}) = {col[i]!r} {problem}")
+        X[:, j] = values
+        mask[:, j] = present
+        info["kinds"][name] = tag
+    ds = Dataset(X, kinds, names=names, mask=mask, cat_labels=cat_labels)
+    return ds, info
+
+
+def write_partition_per_row(path: str, mid: str, partition, fuzzy) -> None:
+    """The reference for ``partition.csv``: one ``writerow`` per row, each
+    responsibility formatted from its numpy scalar."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# manifest_id: {mid}\n")
+        w = csv.writer(fh)
+        w.writerow(["row", "label"] + [f"t_{k + 1}" for k in range(fuzzy.shape[1])])
+        for i in range(len(partition)):
+            w.writerow([i + 1, int(partition[i])]
+                       + [repr(float(t)) for t in fuzzy[i]])
