@@ -232,6 +232,8 @@ def main(argv=None) -> int:
         parser.error("--starts must be >= 1")
     if getattr(args, "replicates", 1) < 1:
         parser.error("--replicates must be >= 1")
+    if getattr(args, "threads", 1) < 1:
+        parser.error("--threads must be >= 1")
     try:
         return args.func(args, ["mixsel"] + argv)
     except (DataError, LengthMismatch, InvalidShape, OSError) as exc:

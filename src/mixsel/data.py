@@ -130,7 +130,7 @@ class Dataset:
     """
 
     def __init__(self, X, kinds, names=None, mask=None, cat_labels=None):
-        X = np.array(X, dtype=float, order="C")
+        X = np.asarray(X, dtype=float)  # np.where below makes the one copy
         if X.ndim != 2:
             raise DataError("X must be 2-dimensional")
         n, d = X.shape
@@ -139,13 +139,11 @@ class Dataset:
         kinds = list(kinds)
         if len(kinds) != d:
             raise DataError("kinds length must equal the number of columns")
-        if mask is None:
-            mask = ~np.isnan(X)
-        mask = np.array(mask, dtype=bool, order="C")
+        # a C-ordered mask makes np.where's result C-ordered
+        mask = ~np.isnan(X, order="C") if mask is None else np.array(mask, dtype=bool, order="C")
         if mask.shape != X.shape:
             raise DataError("mask shape must match X")
-        X = np.where(mask, X, np.nan)
-        self.X = X
+        self.X = np.where(mask, X, np.nan)
         self.mask = mask
         self.kinds = kinds
         self.names = list(names) if names is not None else [f"v{j + 1}" for j in range(d)]
@@ -225,12 +223,10 @@ def _block_sizes(kinds) -> np.ndarray:
     return np.array([k.n_free_params for k in kinds], dtype=float)
 
 
-def count_params(model: Model, kinds, nu: np.ndarray | None = None) -> int:
+def count_params(model: Model, kinds) -> int:
     """Free-parameter count: g-1 proportions plus, per column, one block per
-    component if relevant and a single shared block otherwise. ``nu`` is
-    ``kinds``' block sizes when the caller holds them (``Packed.nu``)."""
-    nu = _block_sizes(kinds) if nu is None else nu
-    return int(model.g - 1 + (nu * np.where(model.omega == 1, model.g, 1)).sum())
+    component if relevant and a single shared block otherwise."""
+    return int(model.g - 1 + (_block_sizes(kinds) * np.where(model.omega == 1, model.g, 1)).sum())
 
 
 @dataclass
@@ -348,9 +344,15 @@ class Packed:
         self.onehot = self.onehot.reshape(gr.n_cat, self.m_max, self.n)
         self.Mc[:], self.Mi[:], self.Mq[:] = MT[gr.cont], MT[gr.integer], MT[gr.cat]
         Xc = np.where(MT[gr.cont], XT[gr.cont], 0.0)
-        self.shift = Xc.sum(axis=1) / self.Mc.sum(axis=1)  # observed column means
-        np.subtract(Xc, self.shift[:, None], out=self.Xc, where=MT[gr.cont])
-        np.multiply(self.Xc, self.Xc, out=self.Xc2)
+        with np.errstate(over="ignore", invalid="ignore"):  # a valid cell may overflow here
+            self.shift = Xc.sum(axis=1) / self.Mc.sum(axis=1)  # observed column means
+            np.subtract(Xc, self.shift[:, None], out=self.Xc, where=MT[gr.cont])
+            np.multiply(self.Xc, self.Xc, out=self.Xc2)
+        bad = np.flatnonzero(~np.isfinite(self.Xc2).all(axis=1))
+        if bad.size:  # name the largest cell of the first such column
+            i, j = int(np.abs(Xc[bad[0]]).argmax()), int(gr.cont[bad[0]])
+            raise FloatingPointError(f"continuous cell ({i}, {j}) = {float(ds.X[i, j])!r} is "
+                                     "too large: its column's centered squares overflow")
         self.Xi[:] = np.where(MT[gr.integer], XT[gr.integer], 0.0)
         values, inverse = np.unique(self.Xi, return_inverse=True)  # ln x! per distinct x
         log_fact = np.array([math.lgamma(v + 1.0) for v in values.tolist()])
@@ -360,7 +362,6 @@ class Packed:
         # zero on missing cells and padded levels
         self.onehot[:] = (self.codes[:, None] == levels[:, None]) & MT[gr.cat][:, None]
         self.level_mask = levels < self.m[:, None]
-        self.kinds = ds.kinds
         self.nu = _block_sizes(ds.kinds)  # per column
         from .em import one_class_fit  # local import: em imports this module
         self.one_class = one_class_fit(self)

@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import densities as dens
-from .data import Dataset, Model, Packed, Parameters, count_params
+from .data import Dataset, Model, Packed, Parameters
 from .util import seeded_rng
 
 EMPTY_COMPONENT_TOL = 1e-8
@@ -372,7 +372,7 @@ def _em_slots(packed: Packed, g: int, omega0, cfg: EmConfig, penalty_c: float | 
     """
     rngs = {s: seeded_rng(cfg.seed, s) for s in starts}
     redraws = dict.fromkeys(starts, 0)
-    runs, done, fresh = {}, {}, list(starts)
+    traces, done, fresh = {}, {}, list(starts)
     live, t, omega = [], np.empty((0, packed.n)), np.empty((0, packed.d), np.int8)
     while fresh or live:
         if fresh:  # (re)drawn starts join after one E step at their start
@@ -381,7 +381,7 @@ def _em_slots(packed: Packed, g: int, omega0, cfg: EmConfig, penalty_c: float | 
             taus, blocks = zip(*(_init_theta(packed, g, om, rngs[s])
                                  for s, om in zip(fresh, oms)))
             tf, _ = _e_kernel(packed, np.array(taus), tuple(map(np.concatenate, zip(*blocks))))
-            runs.update((s, [[], None, 0.0]) for s in fresh)  # trace, model, penalty
+            traces.update((s, []) for s in fresh)
             t, omega = np.vstack([t, tf]), np.vstack([omega, *oms])
             live, fresh = live + fresh, []
         tau, blocks, omega, _, empty, spiky = _m_slots(packed, t, g, omega, floor, penalty_c)
@@ -395,22 +395,20 @@ def _em_slots(packed: Packed, g: int, omega0, cfg: EmConfig, penalty_c: float | 
                 [s for s, k in zip(live, ok) if k], tau[ok], omega[ok], spiky[ok],
                 tuple(b[np.repeat(ok, g)] for b in blocks))
         t, loglik = _e_kernel(packed, tau, blocks)
+        # the parameter counts are small integers, which float64 holds exactly
+        objective = loglik - (penalty_c or 0.0) * (g - 1 + np.where(omega == 1, g, 1) @ packed.nu)
         going = np.ones(len(live), bool)
         for i, s in enumerate(live):
-            trace, model, penalty = run = runs[s]
-            if model is None or (omega[i] != model.omega).any():
-                # the penalty only changes with omega
-                model = run[1] = Model(g, omega[i])
-                if penalty_c is not None:
-                    penalty = run[2] = count_params(model, packed.kinds, packed.nu) * penalty_c
-            obj, prev = float(loglik[i]) - penalty, trace[-1] if trace else -np.inf
+            trace = traces[s]
+            obj, prev = float(objective[i]), trace[-1] if trace else -np.inf
             converged = prev > -np.inf and \
                 abs(obj - prev) / (abs(prev) + 1.0) < cfg.rel_tolerance
             trace.append(obj)
             if converged or len(trace) == cfg.max_iterations:
                 going[i], k = False, slice(i * g, (i + 1) * g)
                 done[s] = EmResult(
-                    theta=_parameters(packed, tau[i], tuple(b[k] for b in blocks)), model=model,
+                    theta=_parameters(packed, tau[i], tuple(b[k] for b in blocks)),
+                    model=Model(g, omega[i]),
                     loglik=float(loglik[i]), objective=obj, fuzzy=np.ascontiguousarray(t[k].T),
                     n_iterations=len(trace), converged=converged, traces=[np.array(trace)],
                     start_index=s, degenerate=bool(spiky[i]))

@@ -25,8 +25,8 @@ the Stirling series) and the factors read the tables. A row joining a class
 is scored in closed form on every column kind (a rank-one update of the
 continuous posterior scale, the Poisson factor's per-class terms taken once,
 ln(c + a) - ln(n + m·a) at a categorical level), and so is a row leaving its
-class on continuous columns (a rank-one downdate) and categorical ones; a
-count leaving its class refits the Poisson factor.
+class (a rank-one downdate of the continuous scale, the Poisson factor at
+the class sums without the row, the level ratio negated).
 
 The partition step is a greedy sweep of single-row moves in a random order.
 It scores the next rows of the order as one block against the current state
@@ -119,19 +119,13 @@ def _phi_cat(n, cnt, a, ma, La, Lma):
     return np.where(n > 0, lev + Lma[:, 0] - _at(Lma, n), 0.0)
 
 
-def _refit(factor, S, a, x, base, *consts):
-    """A factor's changes when a row with entries ``x`` (keys, B, J) joins
-    each class, (B, g, J), and leaves its own class ``a``, (B, J): the
-    factor refit at the class sums ``S`` (keys, g, J) plus or minus the
-    entries, less the current factors ``base`` (g, J)."""
-    up = factor(*(s + v[:, None] for s, v in zip(S, x)), *consts) - base
-    return up, factor(*(s[a] - v for s, v in zip(S, x)), *consts) - base[a]
-
-
-def _cont_moves(factor, S, a, x, base, a0, b2, c, d, G):
-    """``_refit`` of ``_phi_cont`` by rank-one changes of the posterior
-    scale, with D = d + n and m = (d·c + s1)/D of the class: a joining value
-    x gives B2 + D/(D+1)·(x - m)², and a leaving one B2 - D/(D-1)·(x - m)².
+def _cont_moves(S, a, x, base, a0, b2, c, d, G):
+    """``_phi_cont``'s changes when a row with entries ``x`` (keys, B, J)
+    joins each class, (B, g, J), and leaves its own class ``a``, (B, J),
+    from the class sums ``S`` (keys, g, J) and the current factors ``base``
+    (g, J). They are rank-one changes of the posterior scale, with D = d + n
+    and m = (d·c + s1)/D of the class: a joining value x gives
+    B2 + D/(D+1)·(x - m)², and a leaving one B2 - D/(D-1)·(x - m)².
     The downdate is at least b² exactly, and is taken so, as rounding may
     cancel it to 0 or below when x holds nearly all of the class's scatter.
     A class left without an observed cell has factor 0. On a missing cell
@@ -153,25 +147,26 @@ def _cont_moves(factor, S, a, x, base, a0, b2, c, d, G):
     return up, down - base.take(a, axis=0)
 
 
-def _int_moves(factor, S, a, x, base, a0, b, const, LG):
-    """``_refit`` of ``_phi_int`` with the join in closed form: a joining
-    value x, with ln x! = l, gives const - (glg + l) + ln Gamma(a + s + x)
-    - (a + s + x)·ln(b + n + 1), the per-class terms taken once. On a
-    missing cell the join still counts the row."""
+def _int_moves(S, a, x, base, a0, b, const, LG):
+    """``_cont_moves`` for ``_phi_int``: a joining value x, with ln x! = l,
+    gives const - (glg + l) + ln Gamma(a + s + x) - (a + s + x)·ln(b + n + 1),
+    the per-class terms taken once, and a leaving one the factor at its
+    class's sums without it. On a missing cell the join still counts the
+    row."""
     n, s, glg = S
     v = s + x[1][:, None]  # (B, g, J)
     up = _lgamma_at(LG, a0, v) - (a0 + v) * np.log(b + n + 1.0)
     up += const - glg - base
     up -= x[2][:, None]
     left = (sums.take(a, axis=0) - entry for sums, entry in zip(S, x))
-    return up, factor(*left, a0, b, const, LG) - base.take(a, axis=0)
+    return up, _phi_int(*left, a0, b, const, LG) - base.take(a, axis=0)
 
 
-def _cat_moves(factor, S, a, x, base, a0, ma, *tables):
-    """``_refit`` of ``_phi_cat`` from the count n and the count c of the
-    row's level (``S`` (2, B, g, J), read at each row's level): ln(c + a) -
-    ln(n + m·a) for a joining row, and that at its own class's sums without
-    it, negated, for a leaving one."""
+def _cat_moves(S, a, x, base, a0, ma, *tables):
+    """``_cont_moves`` for ``_phi_cat``, from the count n and the count c
+    of the row's level (``S`` (2, B, g, J), read at each row's level):
+    ln(c + a) - ln(n + m·a) for a joining row, and that at its own class's
+    sums without it, negated, for a leaving one."""
     up = np.log(S[1] + a0) - np.log(S[0] + ma)
     n, c = S[:, np.arange(len(a)), a] - x
     return up, np.log(n + ma) - np.log(c + a0)
@@ -189,7 +184,7 @@ def log_dirichlet_proportion_term(nk, u: float) -> float:
 # dataset-level constant tables
 # ---------------------------------------------------------------------------
 
-Kind = namedtuple("Kind", "cols keys factor consts moves level", defaults=[_refit, None])
+Kind = namedtuple("Kind", "cols keys factor consts moves level", defaults=[None])
 
 
 class MarginalTables:
@@ -197,7 +192,7 @@ class MarginalTables:
     ``Kind`` per column kind: its dataset columns, the ``Packed.class_sums``
     keys its factor reads (observed count first), the factor, its per-column
     constants (one table row per column), the factor's changes when a row
-    joins a class and leaves its own (``_refit``'s signature), and, for a
+    joins a class and leaves its own (``_cont_moves``' signature), and, for a
     kind whose last class sum has a level axis, each cell's level. ``glob``
     holds, per kind, the global (one-group) marginal of every column, which
     is what an irrelevant column contributes for any partition. The
@@ -245,16 +240,15 @@ class MiclState:
 
     Each column kind scores (``Kind.moves``) a row joining class k from k's
     sums and the row's entries, and a row leaving its class a from a's sums
-    minus them: by refitting the factor or by a closed-form change; a level
-    count is read at the row's level only. ``candidate_values`` scores a
-    block of rows against the frozen state in one pass over the relevant
-    columns, where a missing cell adds exactly 0, and keeps those per-column
-    changes; ``apply_move`` then moves the one row's column of
-    ``Packed.cells`` between two rows of ``S`` and adds the row's kept
-    changes to the two classes' factors. So after a move ``phi`` is exact on
-    the relevant columns only; ``partition_step`` and ``model_update`` refit
-    all of it before they read it, unless no move was made since the last
-    refit.
+    minus them, in closed form; a level count is read at the row's level
+    only. ``candidate_values`` scores a block of rows against the frozen
+    state in one pass over the relevant columns, where a missing cell adds
+    exactly 0, and keeps those per-column changes; ``apply_move`` then moves
+    the one row's column of ``Packed.cells`` between two rows of ``S`` and
+    adds the row's kept changes to the two classes' factors. So after a move
+    ``phi`` is exact on the relevant columns only; ``partition_step`` and
+    ``model_update`` refit all of it before they read it, unless no move was
+    made since the last refit.
     """
 
     def __init__(self, tables: MarginalTables, model: Model, z):
@@ -342,7 +336,7 @@ class MiclState:
                 S = self.S.take(cols, axis=1).transpose(1, 0, 2)  # (keys, g, J)
             else:  # at each row's level: (keys, B, g, J)
                 S = self.S.take(cols[:, rows], axis=1).transpose(1, 2, 0, 3)
-            up, down = kind.moves(kind.factor, S, a, x, phi.take(J, axis=1), *cj)
+            up, down = kind.moves(S, a, x, phi.take(J, axis=1), *cj)
             miss = x[0] == 0
             np.copyto(up, 0.0, where=miss[:, None, :])
             np.copyto(down, 0.0, where=miss)

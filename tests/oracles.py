@@ -4,6 +4,7 @@ These deliberately avoid the package's formulas: continuous and integer
 marginals are computed by adaptive quadrature of the prior-times-likelihood
 integrand, categorical marginals and the proportion factor by the sequential
 predictive (urn) product. Intended for small inputs (n <= ~25). Below them,
+the refit that the MICL moves' closed-form changes are checked against,
 the cell-by-cell references for the vectorized EM kernels, the EM starts run
 one after another, the Monte-Carlo Bayes risk of the mixed simulation
 design, and the cell-by-cell CSV reader and row-by-row ``partition.csv``
@@ -134,6 +135,16 @@ def marginal_oracle(values_by_class, kind_tag, hyper_tuple, m=0) -> float:
     return total
 
 
+def refit_moves(factor, S, a, x, base, *consts):
+    """A factor's changes when a row with entries ``x`` (keys, B, J) joins
+    each class, (B, g, J), and leaves its own class ``a``, (B, J): the
+    factor refit at the class sums ``S`` (keys, g, J) plus or minus the
+    entries, less the current factors ``base`` (g, J). The reference for
+    ``mixsel.micl``'s closed-form ``Kind.moves``."""
+    up = factor(*(s + v[:, None] for s, v in zip(S, x)), *consts) - base
+    return up, factor(*(s[a] - v for s, v in zip(S, x)), *consts) - base[a]
+
+
 class UnsupportedValue(ValueError):
     """Value outside the support of the declared variable kind."""
 
@@ -225,7 +236,7 @@ def sequential_em_starts(dataset, g, omega0, cfg, penalty_c):
                 raise StartFailed
             t, loglik = em._e_kernel(packed, tau, blocks)
             penalty = 0.0 if penalty_c is None else \
-                count_params(Model(g, omega[0]), packed.kinds) * penalty_c
+                count_params(Model(g, omega[0]), dataset.kinds) * penalty_c
             trace.append(float(loglik[0]) - penalty)
             if len(trace) > 1 and abs(trace[-1] - trace[-2]) / (abs(trace[-2]) + 1.0) < \
                     cfg.rel_tolerance:

@@ -147,6 +147,21 @@ def test_cluster_rejects_threads_flag(sample_csv, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_simulate_threads_below_one_exits_two(tmp_path, capsys, monkeypatch, threads):
+    def no_campaign(*args, **kwargs):
+        raise AssertionError("a campaign started")
+
+    monkeypatch.setattr("mixsel.cli.run_campaign", no_campaign)
+    out = tmp_path / "sim"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--family", "mixed", "--replicates", "1", "--seed", "3",
+              "--threads", threads, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_mixed_rejects_rho(tmp_path, capsys):
     # the mixed design has no correlation knob; a nonzero rho is a usage error
     out = tmp_path / "sim"
@@ -202,7 +217,9 @@ def test_cluster_overflowing_cell_exits_one_without_model(tmp_path, capsys):
     code = main(["cluster", str(data), "--gmax", "2", "--starts", "2", "--seed", "1",
                  "--out", str(out)])
     assert code == 1
-    assert capsys.readouterr().err.splitlines()[-1].startswith("numerical failure")
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("numerical failure")
+    assert "cell (1, 0) = 1e+200" in err
     assert not (out / "model.json").exists()
     assert not out.exists()
 

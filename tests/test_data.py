@@ -68,6 +68,24 @@ def test_mask_defines_missingness():
     assert np.isnan(ds.X[0, 1]) and not ds.mask.all()
 
 
+def test_dataset_copies_the_callers_arrays_once_and_leaves_them_alone():
+    X = np.array([[1.0, 2.0], [3.0, np.nan], [5.0, 6.0]])
+    mask = np.array([[True, False], [True, False], [True, True]])
+    X0, mask0 = X.copy(), mask.copy()
+    ds = Dataset(X, [CONT, CONT], mask=mask)
+    assert X.flags.writeable and mask.flags.writeable
+    assert np.array_equal(X, X0, equal_nan=True) and np.array_equal(mask, mask0)
+    assert not np.shares_memory(ds.X, X) and not np.shares_memory(ds.mask, mask)
+    assert ds.X.flags.c_contiguous and ds.mask.flags.c_contiguous
+    assert np.array_equal(ds.X, [[1.0, np.nan], [3.0, np.nan], [5.0, 6.0]], equal_nan=True)
+    # without a mask, and from a Fortran-ordered matrix
+    F = np.asfortranarray(X)
+    ds = Dataset(F, [CONT, CONT])
+    assert F.flags.writeable and not np.shares_memory(ds.X, F)
+    assert ds.X.flags.c_contiguous and ds.mask.flags.c_contiguous
+    assert np.array_equal(ds.mask, ~np.isnan(X))
+
+
 def test_model_invariants():
     m = Model(2, [1, 0, 1])
     assert list(np.flatnonzero(m.omega == 1)) == [0, 2]

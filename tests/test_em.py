@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from mixsel import (ColumnGroups, Dataset, EmConfig, Model, Parameters,
+from mixsel import (ColumnGroups, Dataset, EmConfig, EmptyComponent, Model, Parameters,
                     VariableKind, e_step, m_step, observed_loglik,
                     penalized_m_step, run_em, run_penalized_em)
+from mixsel.em import DegenerateComponent
 from oracles import column_loglik, log_density, weighted_mle
 
 CONT = VariableKind.continuous()
@@ -284,6 +285,32 @@ def test_m_step_rejects_a_model_that_does_not_fit_the_input():
     with pytest.raises(ValueError):
         m_step(ds, Model(2, np.ones(ds.d + 1)), fuzzy)
     assert m_step(ds, Model(2, np.ones(ds.d)), fuzzy).g == 2
+
+
+def test_public_m_steps_raise_on_an_empty_component():
+    # a hollow weight matrix: no row gives component 2 any weight
+    ds = _mixed_dataset(seed=16)
+    fuzzy = np.column_stack([np.ones(ds.n), np.zeros(ds.n)])
+    with pytest.raises(EmptyComponent) as exc:
+        m_step(ds, Model(2, np.ones(ds.d)), fuzzy)
+    assert exc.value.k == 1
+    with pytest.raises(EmptyComponent) as exc:
+        penalized_m_step(ds, 2, fuzzy, 1.0)
+    assert exc.value.k == 1
+
+
+def test_public_m_steps_raise_on_a_one_row_class():
+    # row 0 alone in component 2 puts its sigma on the floor on every
+    # continuous column; relevant, that is a variance spike
+    ds = _mixed_dataset(seed=16)
+    fuzzy = np.column_stack([np.ones(ds.n), np.zeros(ds.n)])
+    fuzzy[0] = [0.0, 1.0]
+    with pytest.raises(DegenerateComponent, match=r"\(1, 0\)"):
+        m_step(ds, Model(2, np.ones(ds.d)), fuzzy)
+    with pytest.raises(DegenerateComponent, match=r"\(1, 0\)"):
+        penalized_m_step(ds, 2, fuzzy, 1.0)
+    # irrelevant, the continuous columns take the shared block
+    assert m_step(ds, Model(2, [0, 0, 1, 1]), fuzzy).g == 2
 
 
 def test_run_penalized_em_rejects_zero_components():

@@ -390,12 +390,12 @@ def test_continuous_moves_match_refit():
     base = micl._phi_cont(*S, *kind.consts)
     a = np.arange(g)  # row b is the first value of class b
     x = np.stack([np.ones((g, J)), values[0], values[0] ** 2])
-    up, down = micl._cont_moves(micl._phi_cont, S, a, x, base, *kind.consts)
-    want_up, want_down = micl._refit(micl._phi_cont, S, a, x, base, *kind.consts)
+    up, down = micl._cont_moves(S, a, x, base, *kind.consts)
+    want_up, want_down = oracles.refit_moves(micl._phi_cont, S, a, x, base, *kind.consts)
     assert np.allclose(up, want_up, rtol=0, atol=1e-9)
     assert np.allclose(down, want_down, rtol=0, atol=1e-9)
     assert np.array_equal(down[:20], -base[:20])
-    _, down = micl._cont_moves(micl._phi_cont, S, a, np.zeros_like(x), base, *kind.consts)
+    _, down = micl._cont_moves(S, a, np.zeros_like(x), base, *kind.consts)
     assert np.array_equal(down, np.zeros((g, J)))
 
 
@@ -418,8 +418,8 @@ def test_integer_moves_match_refit():
     a = rng.integers(0, g, g)  # row b is the first count of class a[b]
     v = counts[0, a]
     x = np.stack([np.ones((g, J)), v, gammaln(v + 1.0)])
-    up, down = micl._int_moves(micl._phi_int, S, a, x, base, *kind.consts)
-    want_up, want_down = micl._refit(micl._phi_int, S, a, x, base, *kind.consts)
+    up, down = micl._int_moves(S, a, x, base, *kind.consts)
+    want_up, want_down = oracles.refit_moves(micl._phi_int, S, a, x, base, *kind.consts)
     assert np.allclose(up, want_up, rtol=0, atol=1e-9)
     assert np.array_equal(down, want_down)
 
