@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from .criteria import CRITERIA, select_model
+from .data import DataError
 from .em import EmConfig
 from .simulate import ScenarioSpec, ari, calibrate_delta, generate
 from .util import derive_seed, parallel_map
@@ -39,10 +40,11 @@ def run_replicate(job: tuple) -> list:
 
 def run_campaign(spec: ScenarioSpec, criteria, replicates: int, gmax: int = 3,
                  starts: int = 20, threads: int = 1):
-    """Run ``replicates`` independent replicates; returns (records, summary)."""
+    """Run ``replicates`` independent replicates; returns (records, summary).
+    An unknown criterion name raises ``DataError`` before any work starts."""
     for crit in criteria:
         if crit not in CRITERIA:
-            raise ValueError(f"unknown criterion {crit!r}")
+            raise DataError(f"unknown criterion {crit!r}")
     delta = calibrate_delta(spec)
     jobs = [(spec, rep, tuple(criteria), gmax, starts, delta) for rep in range(replicates)]
     per_rep = parallel_map(run_replicate, jobs, threads=threads)

@@ -1,7 +1,8 @@
-"""Information criteria, MAP partitioning, and the top-level model-selection
-driver sweeping the component count. The parameter count ``count_params``
-lives next to ``Model`` in ``data``, where the penalized EM shares it, and is
-re-exported here."""
+"""Information criteria and the top-level model-selection driver sweeping
+the component count. The parameter count ``count_params`` lives next to
+``Model`` in ``data``, where the penalized EM shares it, and the MAP rule
+``map_partition`` next to the hard-partition convention there, where the
+MICL starts share it; both are re-exported here."""
 from __future__ import annotations
 
 import time
@@ -9,7 +10,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, Hyperparameters, Model, Parameters, count_params
+from .data import Dataset, Hyperparameters, Model, Parameters, count_params, map_partition
 from .em import EmConfig, EmResult, run_em, run_penalized_em
 from .micl import MarginalTables, MiclConfig, log_integrated_complete, run_micl
 from .util import derive_seed
@@ -25,11 +26,6 @@ def bic(loglik: float, nu_m: int, n: int) -> float:
 
 def aic(loglik: float, nu_m: int) -> float:
     return loglik - nu_m
-
-
-def map_partition(fuzzy: np.ndarray) -> np.ndarray:
-    """Highest-responsibility labels (1-based); ties go to the lowest index."""
-    return np.argmax(fuzzy, axis=1).astype(np.intp) + 1
 
 
 @dataclass

@@ -199,6 +199,11 @@ def validate(dataset: Dataset) -> None:
     dataset.mask.setflags(write=False)
 
 
+def map_partition(fuzzy: np.ndarray) -> np.ndarray:
+    """Highest-responsibility labels (1-based); ties go to the lowest index."""
+    return np.argmax(fuzzy, axis=1).astype(np.intp) + 1
+
+
 @dataclass
 class Model:
     """A component count g plus the binary relevance vector over columns."""

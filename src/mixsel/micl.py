@@ -35,8 +35,9 @@ first improving move; the rows before it saw the state a row-by-row sweep
 would have seen, so the blocked sweep makes the same moves. A move is one
 column update: the row's column of ``Packed.cells`` changes rows of the sums,
 and the per-column changes its scoring pass kept are added to the factors of
-the relevant columns. The factors of the irrelevant columns, which only the
-model step reads, are refit once per partition step. At g = 1 the answer is
+the relevant columns. So a move keeps the relevant columns' factors exact,
+and the model step, the only reader of the irrelevant columns' factors,
+refits every factor from the class sums. At g = 1 the answer is
 fixed (every label 1, no relevant column), so ``run_micl`` returns it directly.
 """
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, Hyperparameters, Model
+from .data import Dataset, Hyperparameters, Model, map_partition
 from .em import EmConfig, run_em
 from .util import derive_seed, seeded_rng
 
@@ -245,10 +246,10 @@ class MiclState:
     state in one pass over the relevant columns, where a missing cell adds
     exactly 0, and keeps those per-column changes; ``apply_move`` then moves
     the one row's column of ``Packed.cells`` between two rows of ``S`` and
-    adds the row's kept changes to the two classes' factors. So after a move
-    ``phi`` is exact on the relevant columns only; ``partition_step`` and
-    ``model_update`` refit all of it before they read it, unless no move was
-    made since the last refit.
+    adds the row's kept changes to the two classes' factors. So a move keeps
+    ``phi`` exact on the relevant columns only, and the model step
+    (``model_update``) refits every factor: outside the constructor it is the
+    one refit point.
     """
 
     def __init__(self, tables: MarginalTables, model: Model, z):
@@ -258,32 +259,32 @@ class MiclState:
                 or model.omega.shape != (p.d,):
             raise ValueError(f"need {p.n} labels in 1..{model.g} and {p.d} omega entries")
         self.tables = tables
-        self.model = model.copy()
         self.zi = z.astype(np.intp) - 1  # 0-based, as the rows of S
         Z = np.zeros((model.g, p.n))
         Z[self.zi, np.arange(p.n)] = 1.0
         self.S = Z @ p.cells.T
         self.st = {**p.split(self.S), "nk": Z.sum(axis=1)}
-        self._exact = False  # phi is the refit of the current class sums
-        self._refit_phi()
-        self._set_rel_masks()
-        self.log_icl = self._value()
+        self.phi = tables.factors(self.st)
+        self._set_model(model.copy())
 
     @property
     def z(self) -> np.ndarray:
         """Hard labels, 1-based."""
         return self.zi + 1
 
-    def _set_rel_masks(self):
-        """Per kind, the relevance of its columns, and what ``candidate_values``
-        reads of the relevant columns J: (J, the (keys, J) columns of ``S``
-        holding the class sums the kind reads, each row's (keys, J) entries
-        there, constants). A level-count sum is read at each row's own level,
-        so its columns are per row, (keys, n, J), and the row's entry there is
-        1 on an observed cell. The entries are copied out of ``Packed.cells``
-        as one (keys, n, J) array. Drops the last scored block."""
+    def _set_model(self, model: Model):
+        """Take ``model``, and set what follows from it and ``phi``: per kind,
+        the relevance of its columns and what ``candidate_values`` reads of
+        the relevant columns J, and the value ``log_icl``. What it reads is
+        (J, the (keys, J) columns of ``S`` holding the class sums the kind
+        reads, each row's (keys, J) entries there, constants). A level-count
+        sum is read at each row's own level, so its columns are per row,
+        (keys, n, J), and the row's entry there is 1 on an observed cell. The
+        entries are copied out of ``Packed.cells`` as one (keys, n, J) array.
+        Drops the last scored block."""
         p = self.tables.packed
-        self.rel = tuple(self.model.omega[k.cols] == 1 for k in self.tables.kinds)
+        self.model = model
+        self.rel = tuple(model.omega[k.cols] == 1 for k in self.tables.kinds)
         self._rel_cells = []
         self._scored = None
         for kind, J in zip(self.tables.kinds, map(np.flatnonzero, self.rel)):
@@ -294,19 +295,10 @@ class MiclState:
             cells = p.cells[at, np.arange(p.n)].transpose(0, 2, 1).copy()
             cols = at[..., 0] if at.shape[2] == 1 else at.transpose(0, 2, 1).copy()
             self._rel_cells.append((J, cols, cells, [v[J] for v in kind.consts]))
-
-    def _refit_phi(self):
-        """Refit every factor from the class sums, unless ``phi`` is their
-        refit already (no move since the last one)."""
-        if not self._exact:
-            self.phi = self.tables.factors(self.st)
-            self._exact = True
-
-    def _value(self) -> float:
         total = log_dirichlet_proportion_term(self.st["nk"], self.tables.hyper.u)
         for rel, phi, glob in zip(self.rel, self.phi, self.tables.glob):
             total += float(np.where(rel, phi.sum(0), glob).sum())
-        return total
+        self.log_icl = total
 
     # -- single-observation moves -------------------------------------------
 
@@ -371,23 +363,20 @@ class MiclState:
         self.zi[i] = k
         self.log_icl = new_value
         self._scored = None
-        self._exact = False
 
     # -- block updates --------------------------------------------------------
 
-    def model_update(self) -> bool:
-        """Set every omega_j to the per-column argmax of the marginal
-        (strict inequality keeps a column relevant; ties drop it). Returns
-        True when omega changed."""
-        self._refit_phi()
+    def model_update(self) -> None:
+        """Refit every factor from the class sums, then set every omega_j to
+        the per-column argmax of the marginal (strict inequality keeps a
+        column relevant; ties drop it). The moves keep only the relevant
+        columns' factors exact, so this is the one refit after them, and the
+        one reader of the irrelevant columns' factors."""
+        self.phi = self.tables.factors(self.st)
         omega = np.zeros(self.tables.packed.d, dtype=np.int8)
         for kind, phi, glob in zip(self.tables.kinds, self.phi, self.tables.glob):
             omega[kind.cols] = phi.sum(0) > glob
-        changed = bool((omega != self.model.omega).any())
-        self.model = Model(self.model.g, omega)
-        self._set_rel_masks()
-        self.log_icl = self._value()
-        return changed
+        self._set_model(Model(self.model.g, omega))
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +415,11 @@ def partition_step(state: MiclState, *, rng: np.random.Generator) -> MiclState:
     against the current state; the first row with an improving move takes
     it, and the sweep resumes right after that row. The rows before it were
     scored against the same state the sequential sweep would have seen, so
-    the visits and moves are those of a row-by-row sweep."""
+    the visits and moves are those of a row-by-row sweep.
+
+    A move keeps the relevant columns' factors exact, and ``log_icl`` is
+    the value its scoring pass gave; the irrelevant columns' factors are
+    left for ``MiclState.model_update`` to refit."""
     n = state.tables.packed.n
     for _ in range(SWEEP_CAP):
         moved = False
@@ -447,8 +440,6 @@ def partition_step(state: MiclState, *, rng: np.random.Generator) -> MiclState:
             pos += f + 1
         if not moved:
             break
-    state._refit_phi()
-    state.log_icl = state._value()
     return state
 
 
@@ -490,8 +481,7 @@ def run_micl(dataset: Dataset, g: int, hyper: Hyperparameters,
         omega0 = rng.integers(0, 2, size=dataset.d).astype(np.int8)
         fit = run_em(dataset, Model(g, omega0),
                      replace(START_EM, seed=derive_seed(config.seed, 92, s)))
-        z0 = np.argmax(fit.fuzzy, axis=1) + 1
-        state = MiclState(tables, Model(g, omega0), z0)
+        state = MiclState(tables, Model(g, omega0), map_partition(fit.fuzzy))
         prev = state.log_icl
         for _ in range(MAX_ALTERNATIONS):
             partition_step(state, rng=rng)
@@ -500,7 +490,7 @@ def run_micl(dataset: Dataset, g: int, hyper: Hyperparameters,
                 break
             prev = state.log_icl
         if best is None or state.log_icl > best[2]:
-            best = (state.model.copy(), state.z.copy(), state.log_icl)
+            best = (state.model, state.z, state.log_icl)
     model, z, _ = best
     # the value of a state built at the result, free of the rounding of the moves
     return model, z, MiclState(tables, model, z).log_icl

@@ -162,6 +162,22 @@ def test_simulate_threads_below_one_exits_two(tmp_path, capsys, monkeypatch, thr
     assert not out.exists()
 
 
+def test_simulate_unknown_criterion_exits_two_before_calibrating(tmp_path, capsys,
+                                                                 monkeypatch):
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrate_delta ran")
+
+    monkeypatch.setattr("mixsel.campaign.calibrate_delta", no_calibration)
+    out = tmp_path / "sim"
+    code = main(["simulate", "--family", "mixed", "--n", "40", "--d", "12",
+                 "--replicates", "1", "--seed", "3", "--criteria", "bic,nope",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "nope" in err[0]
+    assert not out.exists()
+
+
 def test_simulate_mixed_rejects_rho(tmp_path, capsys):
     # the mixed design has no correlation knob; a nonzero rho is a usage error
     out = tmp_path / "sim"

@@ -424,13 +424,35 @@ def test_integer_moves_match_refit():
     assert np.array_equal(down, want_down)
 
 
-def test_partition_step_leaves_every_factor_exact():
-    """Moves update the factors of the relevant columns only; a partition
-    step ends with every factor and the value of a rebuilt state."""
+def test_partition_step_keeps_relevant_factors_and_model_update_refits_all():
+    """Moves update the factors of the relevant columns only: a partition
+    step ends with those factors and the value of a rebuilt state, and the
+    model step after it with every factor of one."""
     ds, tables, state = _moved_state(28)
     assert not state.model.omega.all()
     partition_step(state, rng=np.random.default_rng(29))
     fresh = MiclState(tables, state.model, state.z)
+    for phi, want, rel in zip(state.phi, fresh.phi, state.rel, strict=True):
+        assert np.allclose(phi[:, rel], want[:, rel], rtol=0, atol=1e-9)
+    assert state.log_icl == pytest.approx(fresh.log_icl, rel=0, abs=1e-9)
+    state.model_update()
+    fresh.model_update()
+    for phi, want in zip(state.phi, fresh.phi, strict=True):
+        assert np.allclose(phi, want, rtol=0, atol=1e-9)
+    assert state.log_icl == pytest.approx(fresh.log_icl, rel=0, abs=1e-9)
+
+
+def test_model_update_right_after_a_move_equals_a_rebuilt_state():
+    """A model step straight after a bare move, with no partition step in
+    between, refits the factors the move left stale."""
+    ds, tables, state = _moved_state(33)
+    i = 5
+    k = (state.zi[i] + 1) % state.model.g
+    _move(state, i, k)
+    fresh = MiclState(tables, state.model, state.z)
+    assert state.model_update() is None
+    fresh.model_update()
+    assert np.array_equal(state.model.omega, fresh.model.omega)
     for phi, want in zip(state.phi, fresh.phi, strict=True):
         assert np.allclose(phi, want, rtol=0, atol=1e-9)
     assert state.log_icl == pytest.approx(fresh.log_icl, rel=0, abs=1e-9)

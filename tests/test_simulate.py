@@ -271,3 +271,17 @@ def test_a_two_replicate_campaign_calibrates_the_mixed_design_once(monkeypatch):
         spec_rep = replace(spec, seed=derive_seed(3, 51, rep))
         a, b = generate(spec_rep, delta)[0], generate(spec_rep)[0]
         assert np.array_equal(a.X, b.X, equal_nan=True)
+
+
+def test_campaign_records_do_not_depend_on_the_worker_count():
+    from mixsel import run_campaign
+    spec = ScenarioSpec(MIXED_INDEP, n=40, d=6, target_error=0.05, missing_rate=0.1,
+                        seed=5)
+
+    def records(threads):
+        recs, _ = run_campaign(spec, ["bic", "micl"], 2, gmax=2, starts=2, threads=threads)
+        return [{key: v for key, v in rec.items() if key != "runtime_s"} for rec in recs]
+
+    one = records(1)
+    assert len(one) == 4
+    assert records(2) == one
