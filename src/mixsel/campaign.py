@@ -41,7 +41,10 @@ def run_replicate(job: tuple) -> list:
 def run_campaign(spec: ScenarioSpec, criteria, replicates: int, gmax: int = 3,
                  starts: int = 20, threads: int = 1):
     """Run ``replicates`` independent replicates; returns (records, summary).
-    An unknown criterion name raises ``DataError`` before any work starts."""
+    An empty criteria list or an unknown criterion name raises ``DataError``
+    before any work starts."""
+    if not criteria:
+        raise DataError("no criterion given")
     for crit in criteria:
         if crit not in CRITERIA:
             raise DataError(f"unknown criterion {crit!r}")

@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("simulate", help="run a replicated benchmark campaign")
     ps.add_argument("--family", choices=["continuous", "mixed"], required=True)
     ps.add_argument("--n", type=int, default=200)
-    ps.add_argument("--d", type=int, default=10)
+    ps.add_argument("--d", type=int, default=12)
     ps.add_argument("--rho", type=float, default=0.0)
     ps.add_argument("--target-error", type=float, default=0.05, dest="target_error")
     ps.add_argument("--missing", type=float, default=0.0)

@@ -19,12 +19,13 @@ run the same kernels. The E kernel also yields the observed-data
 log-likelihood, which is all ``observed_loglik`` computes. Its log joint is
 one product of per-class coefficients with ``Packed.cells``, the mirror of
 ``Packed.class_sums``, and the Delta reads the class sums, so no per-cell
-density array is built. The random starts of one fit run as slots of one
-stack (``_em_slots``): S live starts are S·g rows of every class-axis array,
-so these two products serve them all, and only the per-start reductions
-(proportions, log-sum-exp, the Delta's sum over classes, spikes) see
-(S, g, ·). Inside the engines n is the inner axis: responsibilities are
-(S·g, n); the public operations take and give (n, g).
+density array is built. The random starts of one fit, or of several (the
+MICL start EMs of one g), run as slots of one stack (``_em_slots``): S live
+starts are S·g rows of every class-axis array, so these two products serve
+them all, and only the per-start reductions (proportions, log-sum-exp, the
+Delta's sum over classes, spikes) see (S, g, ·). Inside the engines n is
+the inner axis: responsibilities are (S·g, n); the public operations take
+and give (n, g).
 
 The penalized engine maximizes `loglik - nu_m * c` jointly over the relevance
 vector and the parameters; `c = ln(n)/2` yields the BIC, `c = 1` the AIC.
@@ -353,92 +354,100 @@ def _init_theta(packed: Packed, g: int, omega: np.ndarray, rng: np.random.Genera
     return np.full(g, 1.0 / g), _install_omega(packed, omega[None], (mu, sigma, rate, probs))
 
 
-def _em_slots(packed: Packed, g: int, omega0, cfg: EmConfig, penalty_c: float | None,
-              starts, floor: bool) -> list:
+def _em_slots(packed: Packed, g: int, cfg: EmConfig, penalty_c: float | None,
+              starts: dict, floor: bool) -> dict:
     """EM runs from the random ``starts``, stacked: one ``_m_slots`` and one
     ``_e_kernel`` call per iteration advance every live slot, and a slot
     leaves the stack when it converges or reaches ``cfg.max_iterations``.
 
-    Start s draws from ``seeded_rng(cfg.seed, s)``: omega (Bernoulli(1/2) per
-    column if ``omega0`` is None), then ``_init_theta``. A slot whose
-    component empties or spikes (a near-singular fit, not a usable optimum)
-    is redrawn from its stream, up to ``MAX_REDRAWS`` times, and then
-    discarded; other slots run on. With ``floor`` no slot fails: empty
-    components are floored, and a slot whose last M step spiked is kept and
-    flagged ``degenerate``. ``penalty_c`` None keeps omega fixed; otherwise
-    it is re-chosen every M step and the objective is penalized.
+    ``starts`` maps a key (fit, start index) to (stream, omega): the stream
+    draws omega, if None, as Bernoulli(1/2) per column, then ``_init_theta``.
+    A slot whose component empties or spikes (a near-singular fit, not a
+    usable optimum) is redrawn from its stream, up to ``MAX_REDRAWS`` times,
+    and then discarded; other slots run on. With ``floor`` no slot fails:
+    empty components are floored, and a slot whose last M step spiked is kept
+    and flagged ``degenerate``. ``penalty_c`` None keeps omega fixed;
+    otherwise it is re-chosen every M step and the objective is penalized.
 
-    Returns the kept starts' ``EmResult``s in start order.
+    Returns the kept starts' ``EmResult``s by key, in the order of ``starts``.
     """
-    rngs = {s: seeded_rng(cfg.seed, s) for s in starts}
     redraws = dict.fromkeys(starts, 0)
     traces, done, fresh = {}, {}, list(starts)
     live, t, omega = [], np.empty((0, packed.n)), np.empty((0, packed.d), np.int8)
     while fresh or live:
         if fresh:  # (re)drawn starts join after one E step at their start
-            oms = [omega0 if omega0 is not None else
-                   rngs[s].integers(0, 2, size=packed.d).astype(np.int8) for s in fresh]
-            taus, blocks = zip(*(_init_theta(packed, g, om, rngs[s])
-                                 for s, om in zip(fresh, oms)))
+            oms = [om if om is not None else rng.integers(0, 2, size=packed.d).astype(np.int8)
+                   for rng, om in map(starts.get, fresh)]
+            taus, blocks = zip(*(_init_theta(packed, g, om, starts[key][0])
+                                 for key, om in zip(fresh, oms)))
             tf, _ = _e_kernel(packed, np.array(taus), tuple(map(np.concatenate, zip(*blocks))))
-            traces.update((s, []) for s in fresh)
+            traces.update((key, []) for key in fresh)
             t, omega = np.vstack([t, tf]), np.vstack([omega, *oms])
             live, fresh = live + fresh, []
         tau, blocks, omega, _, empty, spiky = _m_slots(packed, t, g, omega, floor, penalty_c)
         spiky = spiky.any(axis=1).reshape(-1, g).any(axis=1)
         ok = floor | ~(empty.any(axis=1) | spiky)
-        for s in [s for s, k in zip(live, ok) if not k]:
-            redraws[s] += 1
-            fresh += [s] if redraws[s] <= MAX_REDRAWS else []
+        for key in [key for key, k in zip(live, ok) if not k]:
+            redraws[key] += 1
+            fresh += [key] if redraws[key] <= MAX_REDRAWS else []
         if not ok.all():
             live, tau, omega, spiky, blocks = (
-                [s for s, k in zip(live, ok) if k], tau[ok], omega[ok], spiky[ok],
+                [key for key, k in zip(live, ok) if k], tau[ok], omega[ok], spiky[ok],
                 tuple(b[np.repeat(ok, g)] for b in blocks))
         t, loglik = _e_kernel(packed, tau, blocks)
         # the parameter counts are small integers, which float64 holds exactly
         objective = loglik - (penalty_c or 0.0) * (g - 1 + np.where(omega == 1, g, 1) @ packed.nu)
         going = np.ones(len(live), bool)
-        for i, s in enumerate(live):
-            trace = traces[s]
+        for i, key in enumerate(live):
+            trace = traces[key]
             obj, prev = float(objective[i]), trace[-1] if trace else -np.inf
             converged = prev > -np.inf and \
                 abs(obj - prev) / (abs(prev) + 1.0) < cfg.rel_tolerance
             trace.append(obj)
             if converged or len(trace) == cfg.max_iterations:
                 going[i], k = False, slice(i * g, (i + 1) * g)
-                done[s] = EmResult(
+                done[key] = EmResult(
                     theta=_parameters(packed, tau[i], tuple(b[k] for b in blocks)),
                     model=Model(g, omega[i]),
                     loglik=float(loglik[i]), objective=obj, fuzzy=np.ascontiguousarray(t[k].T),
                     n_iterations=len(trace), converged=converged, traces=[np.array(trace)],
-                    start_index=s, degenerate=bool(spiky[i]))
+                    start_index=key[1], degenerate=bool(spiky[i]))
         if not going.all():
-            live, t, omega = [s for s, k in zip(live, going) if k], t[np.repeat(going, g)], \
+            live, t, omega = [key for key, k in zip(live, going) if k], t[np.repeat(going, g)], \
                 omega[going]
-    return [done[s] for s in starts if s in done]
+    return {key: done[key] for key in starts if key in done}
 
 
-def _run_starts(dataset: Dataset, g: int, omega0, cfg: EmConfig,
-                penalty_c: float | None) -> EmResult:
-    """Best-of-n-starts driver shared by the plain and penalized engines: the
-    starts run as one stack (``_em_slots``), and the first of the best
-    objectives wins. Only if every start is discarded is one more start run,
-    the one that floors empty components and accepts spikes, so the call can
-    return: the landscape is then dominated by a degenerate solution.
-    """
+def run_starts(dataset: Dataset, g: int, fits: list, cfg: EmConfig,
+               penalty_c: float | None) -> list:
+    """Best-of-``cfg.n_starts`` driver of every EM fit: ``fits`` lists (seed,
+    omega or None) pairs, start s of a fit draws from ``seeded_rng(seed, s)``,
+    and the starts of all fits run as one stack (``_em_slots``). A fit whose
+    every start is discarded runs one more start (index ``cfg.n_starts``) that
+    floors empty components and accepts spikes, so the fit can return: its
+    landscape is dominated by a degenerate solution. Returns per fit the first
+    of its best objectives, holding the traces of all its kept starts."""
     packed = dataset.packed()
-    kept = _em_slots(packed, g, omega0, cfg, penalty_c, range(cfg.n_starts), False) or \
-        _em_slots(packed, g, omega0, cfg, penalty_c, [cfg.n_starts], True)
-    best = max(kept, key=lambda res: res.objective)
-    best.traces = [trace for res in kept for trace in res.traces]
-    return best
+    starts = {(f, s): (seeded_rng(seed, s), omega)
+              for f, (seed, omega) in enumerate(fits) for s in range(cfg.n_starts)}
+    kept = _em_slots(packed, g, cfg, penalty_c, starts, False)
+    lost = {(f, cfg.n_starts): (seeded_rng(seed, cfg.n_starts), omega)
+            for f, (seed, omega) in enumerate(fits) if all(key[0] != f for key in kept)}
+    kept.update(_em_slots(packed, g, cfg, penalty_c, lost, True))
+    out = []
+    for f in range(len(fits)):
+        results = [res for key, res in kept.items() if key[0] == f]
+        best = max(results, key=lambda res: res.objective)
+        best.traces = [trace for res in results for trace in res.traces]
+        out.append(best)
+    return out
 
 
 def run_em(dataset: Dataset, model: Model, config: EmConfig) -> EmResult:
     """Maximum-likelihood EM for a fixed model, best of ``n_starts`` starts."""
     if len(model.omega) != dataset.d:
         raise ValueError("omega length must equal d")
-    return _run_starts(dataset, model.g, model.omega, config, penalty_c=None)
+    return run_starts(dataset, model.g, [(config.seed, model.omega)], config, None)[0]
 
 
 def run_penalized_em(dataset: Dataset, g: int, c: float, config: EmConfig) -> EmResult:
@@ -451,4 +460,4 @@ def run_penalized_em(dataset: Dataset, g: int, c: float, config: EmConfig) -> Em
         raise ValueError("penalty must be nonnegative")
     if g < 1:
         raise ValueError("g must be >= 1")
-    return _run_starts(dataset, g, None, config, penalty_c=float(c))
+    return run_starts(dataset, g, [(config.seed, None)], config, float(c))[0]

@@ -44,12 +44,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, Hyperparameters, Model, map_partition
-from .em import EmConfig, run_em
+from .em import EmConfig, run_starts
 from .util import derive_seed, seeded_rng
 
 LOG_PI = math.log(math.pi)
@@ -58,7 +58,7 @@ LGAMMA_ROWS = 1024       # ln Gamma(a + v) of a Poisson sum v is tabulated for v
 SWEEP_CAP = 50           # greedy sweeps per partition step
 BLOCK_ROWS = 256         # rows scored per candidate_values pass of a sweep
 MAX_ALTERNATIONS = 100   # partition/model alternations per start
-# the small EM whose MAP partition seeds a start (its seed is set per start)
+# the small EM whose MAP partition seeds a start (each start's fit names its seed)
 START_EM = EmConfig(seed=0, n_starts=1, max_iterations=200, rel_tolerance=1e-4)
 
 
@@ -463,7 +463,8 @@ def run_micl(dataset: Dataset, g: int, hyper: Hyperparameters,
 
     Each start draws omega ~ Bernoulli(1/2) per column, fits that model by a
     small-budget EM, takes the MAP partition, then alternates partition and
-    model steps until neither improves the objective. ``tables`` defaults to
+    model steps until neither improves the objective. The start EMs of one g
+    run as one stack (``run_starts``). ``tables`` defaults to
     ``MarginalTables(dataset, hyper)``, built once by a caller sweeping g.
     At g = 1 every start ends at the same state: every label 1 and, as the
     one class's factors equal the global ones, no column relevant. That
@@ -475,12 +476,12 @@ def run_micl(dataset: Dataset, g: int, hyper: Hyperparameters,
     if g == 1:
         model, z = Model(1, np.zeros(dataset.d, dtype=np.int8)), np.ones(dataset.n, dtype=np.intp)
         return model, z, MiclState(tables, model, z).log_icl
+    rngs = [seeded_rng(config.seed, 91, s) for s in range(config.n_starts)]
+    omegas = [rng.integers(0, 2, size=dataset.d).astype(np.int8) for rng in rngs]
+    fits = run_starts(dataset, g, [(derive_seed(config.seed, 92, s), omega0)
+                                   for s, omega0 in enumerate(omegas)], START_EM, None)
     best: tuple | None = None
-    for s in range(config.n_starts):
-        rng = seeded_rng(config.seed, 91, s)
-        omega0 = rng.integers(0, 2, size=dataset.d).astype(np.int8)
-        fit = run_em(dataset, Model(g, omega0),
-                     replace(START_EM, seed=derive_seed(config.seed, 92, s)))
+    for rng, omega0, fit in zip(rngs, omegas, fits):
         state = MiclState(tables, Model(g, omega0), map_partition(fit.fuzzy))
         prev = state.log_icl
         for _ in range(MAX_ALTERNATIONS):

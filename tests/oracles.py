@@ -6,24 +6,27 @@ integrand, categorical marginals and the proportion factor by the sequential
 predictive (urn) product. Intended for small inputs (n <= ~25). Below them,
 the refit that the MICL moves' closed-form changes are checked against,
 the cell-by-cell references for the vectorized EM kernels, the EM starts run
-one after another, the Monte-Carlo Bayes risk of the mixed simulation
-design, and the cell-by-cell CSV reader and row-by-row ``partition.csv``
-writer that ``mixsel.io.read_csv`` and ``mixsel.cli`` are tested against.
+one after another, the MICL starts with one EM call each, the Monte-Carlo
+Bayes risk of the mixed simulation design, and the cell-by-cell CSV reader
+and row-by-row ``partition.csv`` writer that ``mixsel.io.read_csv`` and
+``mixsel.cli`` are tested against.
 """
 from __future__ import annotations
 
 import csv
 import math
+from dataclasses import replace
 from itertools import compress
 
 import numpy as np
 from scipy import integrate, optimize
 from scipy.special import gammaln
 
-from mixsel import em
-from mixsel.data import CAT, CONT, INT, DataError, Dataset, Model, VariableKind, count_params
+from mixsel import em, micl
+from mixsel.data import (CAT, CONT, INT, DataError, Dataset, Model, VariableKind, count_params,
+                         map_partition)
 from mixsel.densities import floor_probs, floor_rate, floor_sigma, normal_logpdf
-from mixsel.util import seeded_rng
+from mixsel.util import derive_seed, seeded_rng
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -215,12 +218,13 @@ class StartFailed(Exception):
 
 
 def sequential_em_starts(dataset, g, omega0, cfg, penalty_c):
-    """The random starts of ``em._run_starts`` one after another, each on
-    one-slot kernel calls: start s draws from ``seeded_rng(cfg.seed, s)``,
-    is redrawn after a run that empties or spikes, up to ``em.MAX_REDRAWS``
-    times, and then discarded; if every start is discarded, one floored start
-    that accepts spikes runs. Returns the kept starts as dicts in start order,
-    the first best of them, and the number of failed runs."""
+    """The random starts of one fit of ``em.run_starts`` one after another,
+    each on one-slot kernel calls: start s draws from
+    ``seeded_rng(cfg.seed, s)``, is redrawn after a run that empties or
+    spikes, up to ``em.MAX_REDRAWS`` times, and then discarded; if every
+    start is discarded, one floored start that accepts spikes runs. Returns
+    the kept starts as dicts in start order, the first best of them, and the
+    number of failed runs."""
     packed = dataset.packed()
 
     def run(rng, floor):
@@ -257,6 +261,33 @@ def sequential_em_starts(dataset, g, omega0, cfg, penalty_c):
         kept = [{"start": cfg.n_starts, **run(seeded_rng(cfg.seed, cfg.n_starts), True)}]
     best = max(kept, key=lambda start: start["trace"][-1])
     return kept, best, failed
+
+
+def sequential_run_micl(dataset, g, hyper, config):
+    """The reference for ``micl.run_micl`` at g >= 2: each start draws omega
+    from ``seeded_rng(seed, 91, s)`` and fits it by its own one-start
+    ``run_em`` under ``replace(START_EM, seed=derive_seed(seed, 92, s))``,
+    then alternates partition and model steps on the same stream. Returns
+    (Model, 1-based labels, value of a state rebuilt at the result)."""
+    tables = micl.MarginalTables(dataset, hyper)
+    best = None
+    for s in range(config.n_starts):
+        rng = seeded_rng(config.seed, 91, s)
+        omega0 = rng.integers(0, 2, size=dataset.d).astype(np.int8)
+        fit = em.run_em(dataset, Model(g, omega0),
+                        replace(micl.START_EM, seed=derive_seed(config.seed, 92, s)))
+        state = micl.MiclState(tables, Model(g, omega0), map_partition(fit.fuzzy))
+        prev = state.log_icl
+        for _ in range(micl.MAX_ALTERNATIONS):
+            micl.partition_step(state, rng=rng)
+            state.model_update()
+            if state.log_icl <= prev + 1e-9:
+                break
+            prev = state.log_icl
+        if best is None or state.log_icl > best[2]:
+            best = (state.model, state.z, state.log_icl)
+    model, z, _ = best
+    return model, z, micl.MiclState(tables, model, z).log_icl
 
 
 def mixed_log_ratio(xc, xi, xb, delta):

@@ -178,6 +178,34 @@ def test_simulate_unknown_criterion_exits_two_before_calibrating(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("criteria", [",", " , "])
+def test_simulate_empty_criteria_list_exits_two_before_calibrating(tmp_path, capsys,
+                                                                    monkeypatch, criteria):
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrate_delta ran")
+
+    monkeypatch.setattr("mixsel.campaign.calibrate_delta", no_calibration)
+    out = tmp_path / "sim"
+    code = main(["simulate", "--family", "mixed", "--n", "40", "--d", "12",
+                 "--replicates", "1", "--seed", "3", "--criteria", criteria,
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "criterion" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["continuous", "mixed"])
+def test_simulate_default_d_suits_both_families(tmp_path, family):
+    out = tmp_path / "sim"
+    code = main(["simulate", "--family", family, "--n", "30", "--replicates", "1",
+                 "--seed", "4", "--criteria", "bic", "--gmax", "2", "--starts", "2",
+                 "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["scenario"]["d"] == 12
+
+
 def test_simulate_mixed_rejects_rho(tmp_path, capsys):
     # the mixed design has no correlation knob; a nonzero rho is a usage error
     out = tmp_path / "sim"

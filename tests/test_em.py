@@ -445,20 +445,9 @@ def _stacked_cases():
     }
 
 
-@pytest.mark.parametrize("case", ["all-spiked", "redrawn", "floored", "clean", "budget"])
-def test_stacked_starts_match_the_sequential_reference(case, monkeypatch):
+def _assert_fit_matches(ds, res, kept, best):
+    """One fit of ``em.run_starts`` against ``sequential_em_starts``."""
     from mixsel import em, map_partition
-    from oracles import sequential_em_starts
-    ds, g, omega0, cfg, c, failed = _stacked_cases()[case]
-    if case == "floored":
-        # a class under n/4 counts as empty: every start fails all 1 +
-        # MAX_REDRAWS draws and is discarded, so the floored fallback runs
-        monkeypatch.setattr(em, "EMPTY_COMPONENT_TOL", 0.25 * ds.n)
-    res = em._run_starts(ds, g, omega0, cfg, c)
-    kept, best, n_failed = sequential_em_starts(ds, g, omega0, cfg, c)
-    assert n_failed == failed
-    if case == "budget":
-        assert {len(k["trace"]) for k in kept} >= {2, cfg.max_iterations}
     assert len(res.traces) == len(kept)
     for got, want in zip(res.traces, kept):
         assert len(got) == len(want["trace"])
@@ -469,6 +458,40 @@ def test_stacked_starts_match_the_sequential_reference(case, monkeypatch):
     assert np.array_equal(map_partition(res.fuzzy), best["labels"])
     assert res.degenerate == best["degenerate"]
     assert res.degenerate == em._spikes(ds.packed(), res.theta.sigma, res.model.omega[None]).any()
+
+
+@pytest.mark.parametrize("case", ["all-spiked", "redrawn", "floored", "clean", "budget"])
+def test_stacked_starts_match_the_sequential_reference(case, monkeypatch):
+    from mixsel import em
+    from oracles import sequential_em_starts
+    ds, g, omega0, cfg, c, failed = _stacked_cases()[case]
+    if case == "floored":
+        # a class under n/4 counts as empty: every start fails all 1 +
+        # MAX_REDRAWS draws and is discarded, so the floored fallback runs
+        monkeypatch.setattr(em, "EMPTY_COMPONENT_TOL", 0.25 * ds.n)
+    res, = em.run_starts(ds, g, [(cfg.seed, omega0)], cfg, c)
+    kept, best, n_failed = sequential_em_starts(ds, g, omega0, cfg, c)
+    assert n_failed == failed
+    if case == "budget":
+        assert {len(k["trace"]) for k in kept} >= {2, cfg.max_iterations}
+    _assert_fit_matches(ds, res, kept, best)
+
+
+def test_fits_of_one_stack_match_the_sequential_reference():
+    # in one stack, a fit whose every start spikes runs its floored fallback
+    # start, and a fit whose columns are all irrelevant keeps its own starts
+    from dataclasses import replace
+    from mixsel import em
+    from oracles import sequential_em_starts
+    ds, g = _three_duplicate_pairs()
+    cfg = EmConfig(seed=0, n_starts=3)
+    fits = [(0, np.ones(1, np.int8)), (1, np.zeros(1, np.int8))]
+    results = em.run_starts(ds, g, fits, cfg, None)
+    assert len(results) == len(fits)
+    for res, (seed, omega), fallback in zip(results, fits, (True, False)):
+        kept, best, _ = sequential_em_starts(ds, g, omega, replace(cfg, seed=seed), None)
+        assert (best["start"] == cfg.n_starts) == fallback
+        _assert_fit_matches(ds, res, kept, best)
 
 
 def test_one_component_starts_agree_and_select_nothing():

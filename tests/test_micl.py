@@ -233,7 +233,7 @@ def test_run_micl_single_component(monkeypatch):
     def no_em(*args, **kwargs):
         raise AssertionError("g = 1 runs no start EM")
 
-    monkeypatch.setattr(micl, "run_em", no_em)
+    monkeypatch.setattr(micl, "run_starts", no_em)
     ds = _mixed_dataset(seed=12)
     h = Hyperparameters.default(ds)
     model, z, value = run_micl(ds, 1, h, MiclConfig(seed=1, n_starts=2))
@@ -241,6 +241,38 @@ def test_run_micl_single_component(monkeypatch):
     assert (z == 1).all()
     assert value == pytest.approx(
         log_integrated_complete(ds, z, model, h), abs=1e-9)
+
+
+def _continuous_dataset(seed=0, n=40):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.normal(3.0 * (np.arange(n) % 2), 1.0), rng.normal(size=n),
+                         rng.normal(size=n)])
+    return Dataset(X, [CONT, CONT, CONT])
+
+
+@pytest.mark.parametrize("make", [lambda: _mixed_dataset(seed=22, n=40, missing=0.1),
+                                  _continuous_dataset], ids=["mixed-missing", "continuous"])
+def test_run_micl_matches_the_one_em_per_start_reference(make, monkeypatch):
+    # the start EMs of one g run as one stack, and give the answer of one
+    # run_em call per start
+    calls, run_starts = [], micl.run_starts
+
+    def counted(dataset, g, *args):
+        calls.append(g)
+        return run_starts(dataset, g, *args)
+
+    ds = make()
+    h = Hyperparameters.default(ds)
+    cfg = MiclConfig(seed=23, n_starts=5)
+    monkeypatch.setattr(micl, "run_starts", counted)
+    for g in (2, 3):
+        model, z, value = run_micl(ds, g, h, cfg)
+        want_model, want_z, want_value = oracles.sequential_run_micl(ds, g, h, cfg)
+        assert model.g == want_model.g == g
+        assert np.array_equal(model.omega, want_model.omega)
+        assert np.array_equal(z, want_z)
+        assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
+    assert calls == [2, 3]
 
 
 def test_run_micl_deterministic():
