@@ -14,7 +14,8 @@ from .data import (CAT, CONT, INT, AllMissingColumn, ColumnGroups, DataError,
                    Dataset, Hyperparameters, Model, NegativeInteger,
                    OutOfRangeCategorical, Parameters, VariableKind, validate)
 from .em import (EmConfig, EmError, EmResult, EmptyComponent, e_step, m_step,
-                 observed_loglik, penalized_m_step, run_em, run_penalized_em)
+                 observed_loglik, penalized_m_step, run_em, run_em_from,
+                 run_penalized_em)
 from .criteria import (CRITERIA, SelectionReport, aic, bic, count_params,
                        map_partition, select_model)
 from .micl import (MarginalTables, MiclConfig, MiclState,

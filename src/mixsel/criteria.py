@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, Hyperparameters, Model, Parameters, count_params, map_partition
-from .em import EmConfig, EmResult, run_em, run_penalized_em
+from .em import EmConfig, EmResult, run_em, run_em_from, run_penalized_em
 from .micl import MarginalTables, MiclConfig, log_integrated_complete, run_micl
 from .util import derive_seed
 
@@ -54,10 +54,10 @@ def select_model(dataset: Dataset, criterion: str, g_max: int, config: EmConfig,
     """Sweep g = 1..g_max under one criterion and return the winning model.
 
     bic/aic run the penalized EM (c = ln(n)/2 or 1); micl runs the alternating
-    integrated-likelihood optimizer and refits the winner by plain EM;
-    bic-noselect/icl-noselect force every column relevant and score plain EM
-    fits by the BIC or by the integrated complete-data value at the MAP
-    partition.
+    integrated-likelihood optimizer and refits the winner by one EM from its
+    MICL partition z*, classes numbered by first row; bic-noselect/icl-noselect
+    force every column relevant and score plain EM fits by the BIC or by the
+    integrated complete-data value at the MAP partition.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -97,9 +97,8 @@ def select_model(dataset: Dataset, criterion: str, g_max: int, config: EmConfig,
     # records are in g order and max keeps the first of equal values
     report.best = max(report.records, key=lambda rec: rec.value)
     if criterion == "micl":
-        # inference for the selected model only
-        refit = run_em(dataset, report.best.model,
-                       replace(config, seed=derive_seed(config.seed, 23)))
+        # inference for the selected model only, from its MICL partition
+        refit = run_em_from(dataset, report.best.model, report.best.z_star, config)
         report.best.theta, report.best.loglik = refit.theta, refit.loglik
         report.fuzzy = refit.fuzzy
     else:

@@ -297,8 +297,10 @@ class Hyperparameters:
         vals = [np.atleast_1d(self.u), self.cont_a, self.cont_b, self.cont_d,
                 self.int_a, self.int_b, self.cat_a]
         for v in vals:
-            if np.any(np.asarray(v, dtype=float) <= 0):
-                raise ValueError("hyperparameters must be strictly positive")
+            if not np.all((np.asarray(v, dtype=float) > 0) & np.isfinite(v)):
+                raise ValueError("hyperparameters must be finite and strictly positive")
+        if not np.all(np.isfinite(self.cont_c)):
+            raise ValueError("hyperparameters must be finite")
 
     @staticmethod
     def default(dataset: Dataset) -> "Hyperparameters":

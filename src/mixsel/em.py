@@ -75,7 +75,8 @@ class EmConfig:
     n_starts: int = 20
 
     def __post_init__(self):
-        if self.max_iterations < 1 or self.n_starts < 1 or self.rel_tolerance <= 0:
+        if not (self.max_iterations >= 1 and self.n_starts >= 1
+                and 0 < self.rel_tolerance < np.inf):
             raise ValueError("invalid EM configuration")
 
 
@@ -321,8 +322,8 @@ def penalized_m_step(dataset: Dataset, g: int, fuzzy: np.ndarray, c: float):
 
     Returns (omega, Parameters, Delta vector).
     """
-    if g != fuzzy.shape[1]:
-        raise ValueError("fuzzy must have g columns")
+    if g != fuzzy.shape[1] or not 0 <= c < np.inf:
+        raise ValueError("fuzzy must have g columns, and c be finite and nonnegative")
     packed = dataset.packed()
     tau, blocks, omega, delta = _m_kernel(packed, fuzzy.T, None, penalty_c=float(c))
     return omega, _parameters(packed, tau, blocks), delta
@@ -362,6 +363,8 @@ def _em_slots(packed: Packed, g: int, cfg: EmConfig, penalty_c: float | None,
 
     ``starts`` maps a key (fit, start index) to (stream, omega): the stream
     draws omega, if None, as Bernoulli(1/2) per column, then ``_init_theta``.
+    A floored stack may hold (g, n) weights in place of all its streams: its
+    starts begin at the M step at those weights.
     A slot whose component empties or spikes (a near-singular fit, not a
     usable optimum) is redrawn from its stream, up to ``MAX_REDRAWS`` times,
     and then discarded; other slots run on. With ``floor`` no slot fails:
@@ -378,11 +381,12 @@ def _em_slots(packed: Packed, g: int, cfg: EmConfig, penalty_c: float | None,
         if fresh:  # (re)drawn starts join after one E step at their start
             oms = [om if om is not None else rng.integers(0, 2, size=packed.d).astype(np.int8)
                    for rng, om in map(starts.get, fresh)]
-            taus, blocks = zip(*(_init_theta(packed, g, om, starts[key][0])
-                                 for key, om in zip(fresh, oms)))
-            tf, _ = _e_kernel(packed, np.array(taus), tuple(map(np.concatenate, zip(*blocks))))
+            tf = [starts[key][0] for key in fresh]  # or weights, which join as they are
+            if not isinstance(tf[0], np.ndarray):
+                taus, blocks = zip(*(_init_theta(packed, g, om, rng) for rng, om in zip(tf, oms)))
+                tf, _ = _e_kernel(packed, np.array(taus), tuple(map(np.concatenate, zip(*blocks))))
             traces.update((key, []) for key in fresh)
-            t, omega = np.vstack([t, tf]), np.vstack([omega, *oms])
+            t, omega = np.vstack([t, *tf]), np.vstack([omega, *oms])
             live, fresh = live + fresh, []
         tau, blocks, omega, _, empty, spiky = _m_slots(packed, t, g, omega, floor, penalty_c)
         spiky = spiky.any(axis=1).reshape(-1, g).any(axis=1)
@@ -450,14 +454,28 @@ def run_em(dataset: Dataset, model: Model, config: EmConfig) -> EmResult:
     return run_starts(dataset, model.g, [(config.seed, model.omega)], config, None)[0]
 
 
+def run_em_from(dataset: Dataset, model: Model, z, config: EmConfig) -> EmResult:
+    """Maximum-likelihood EM for a fixed model from one start at the hard
+    partition ``z``, whose classes are numbered by first row, empty ones last.
+    Empty components are floored; a spike is kept, flagged ``degenerate``.
+    Reads neither ``config.seed`` nor ``config.n_starts``."""
+    labels = list(dict.fromkeys(np.asarray(z).tolist()))  # in first-row order
+    if len(model.omega) != dataset.d or len(z) != dataset.n or len(labels) > model.g:
+        raise ValueError("need d omega entries and n labels of at most g classes")
+    weights = np.zeros((model.g, dataset.n))
+    weights[:len(labels)] = np.equal.outer(labels, z)
+    start = {(0, 0): (weights, model.omega)}
+    return _em_slots(dataset.packed(), model.g, config, None, start, True)[(0, 0)]
+
+
 def run_penalized_em(dataset: Dataset, g: int, c: float, config: EmConfig) -> EmResult:
     """Penalized EM jointly selecting the relevance vector at fixed g.
 
     With ``c = ln(n)/2`` the final objective equals the BIC of the returned
     model; with ``c = 1`` it equals the AIC.
     """
-    if c < 0:
-        raise ValueError("penalty must be nonnegative")
+    if not 0 <= c < np.inf:
+        raise ValueError("penalty must be finite and nonnegative")
     if g < 1:
         raise ValueError("g must be >= 1")
     return run_starts(dataset, g, [(config.seed, None)], config, float(c))[0]

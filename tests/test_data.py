@@ -107,6 +107,18 @@ def test_hyperparameters_default_and_positivity():
                         cat_a=h.cat_a)
 
 
+@pytest.mark.parametrize("field, value", [("u", np.nan), ("u", np.inf), ("cont_b", np.inf),
+                                          ("cont_a", np.nan), ("cont_c", np.nan),
+                                          ("cont_c", -np.inf), ("cat_a", np.inf)])
+def test_hyperparameters_reject_non_finite_values(field, value):
+    # NaN passes a `<= 0` check and gave a NaN MICL value with RuntimeWarnings
+    from dataclasses import replace
+    ds = Dataset([[1.0, 2.0, 1.0], [3.0, 1.0, 2.0]], [CONT, INT, VariableKind.categorical(2)])
+    h = Hyperparameters.default(ds)
+    with pytest.raises(ValueError):
+        replace(h, **{field: value if field == "u" else np.full_like(getattr(h, field), value)})
+
+
 def test_kind_inference():
     assert infer_kind(["1.5", "2"]) == "cont"
     assert infer_kind(["1e3", "2"]) == "cont"

@@ -3,8 +3,10 @@ import pytest
 
 from mixsel import (ColumnGroups, Dataset, EmConfig, EmptyComponent, Model, Parameters,
                     VariableKind, e_step, m_step, observed_loglik,
-                    penalized_m_step, run_em, run_penalized_em)
+                    penalized_m_step, run_em, run_em_from, run_penalized_em,
+                    select_model)
 from mixsel.em import DegenerateComponent
+from mixsel.simulate import MIXED_INDEP, ScenarioSpec, generate
 from oracles import column_loglik, log_density, weighted_mle
 
 CONT = VariableKind.continuous()
@@ -317,6 +319,83 @@ def test_run_penalized_em_rejects_zero_components():
     ds = _mixed_dataset(seed=16)
     with pytest.raises(ValueError):
         run_penalized_em(ds, 0, 1.0, EmConfig(seed=0, n_starts=1))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: EmConfig(seed=0, rel_tolerance=np.nan),
+    lambda: EmConfig(seed=0, rel_tolerance=np.inf),
+    lambda: EmConfig(seed=0, max_iterations=np.nan),
+    lambda: run_penalized_em(_mixed_dataset(seed=16), 2, np.nan, EmConfig(seed=0, n_starts=1)),
+    lambda: run_penalized_em(_mixed_dataset(seed=16), 2, np.inf, EmConfig(seed=0, n_starts=1)),
+    lambda: penalized_m_step(_mixed_dataset(seed=16), 2, np.full((60, 2), 0.5), -5.0),
+    lambda: penalized_m_step(_mixed_dataset(seed=16), 2, np.full((60, 2), 0.5), np.nan),
+], ids=["tolerance-nan", "tolerance-inf", "iterations-nan", "penalty-nan", "penalty-inf",
+        "m-step-negative", "m-step-nan"])
+def test_non_finite_or_negative_knobs_are_rejected(make):
+    # NaN passes a `<= 0` check: it would run every start to the budget, or
+    # return a NaN objective with every column irrelevant
+    with pytest.raises(ValueError):
+        make()
+
+
+def _indep_truth(seed=1):
+    ds, z, _ = generate(ScenarioSpec(MIXED_INDEP, n=150, d=12, target_error=0.05,
+                                     missing_rate=0.1, seed=seed))
+    return ds, z
+
+
+def test_run_em_from_does_not_see_the_label_numbering():
+    # classes are numbered by their first row, so swapping labels 1 and 2
+    # gives the same start and, bit for bit, the same fit
+    ds, z = _indep_truth()
+    model, cfg = Model(2, np.ones(ds.d, np.int8)), EmConfig(seed=0)
+    a, b = run_em_from(ds, model, z, cfg), run_em_from(ds, model, 3 - z, cfg)
+    for got, want in zip([b.theta.tau, b.theta.mu, b.theta.sigma, b.theta.rate, *b.theta.probs,
+                          b.fuzzy, *b.traces],
+                         [a.theta.tau, a.theta.mu, a.theta.sigma, a.theta.rate, *a.theta.probs,
+                          a.fuzzy, *a.traces]):
+        assert np.array_equal(got, want)
+    assert b.loglik == a.loglik and b.n_iterations == a.n_iterations
+    assert a.converged and not a.degenerate
+
+
+def test_run_em_from_floors_an_empty_class():
+    # two true classes at g = 3: component 3 starts empty and is floored, not
+    # raised; it takes one row, whose cells are a variance spike, so the fit
+    # converges flagged degenerate with proportion 1/n on that component
+    ds, z = _indep_truth()
+    res = run_em_from(ds, Model(3, np.ones(ds.d, np.int8)), z, EmConfig(seed=0))
+    assert res.converged and res.degenerate
+    assert res.theta.tau[2] == pytest.approx(1.0 / ds.n, rel=1e-6)
+    assert np.allclose(res.theta.tau[:2], [0.458, 0.536], atol=1e-3)
+    assert len(res.traces) == 1 and res.n_iterations < 50
+
+
+def test_run_em_from_reads_classes_not_label_values():
+    # only which rows share a label matters: n labels of at most g classes
+    ds, z = _indep_truth()
+    model, cfg = Model(2, np.ones(ds.d, np.int8)), EmConfig(seed=0)
+    assert np.array_equal(run_em_from(ds, model, 10 * z + 7, cfg).fuzzy,
+                          run_em_from(ds, model, z, cfg).fuzzy)
+    for bad_model, bad_z in [(model, z[1:]), (model, np.arange(ds.n) % 3),
+                             (Model(2, np.ones(ds.d + 1, np.int8)), z)]:
+        with pytest.raises(ValueError):
+            run_em_from(ds, bad_model, bad_z, cfg)
+
+
+def test_micl_winner_is_refit_from_its_partition_alone(monkeypatch):
+    # the micl answer runs no random-start EM after the MICL search
+    import mixsel.criteria as criteria
+
+    def no_run_em(*args):
+        raise AssertionError("run_em called")
+
+    monkeypatch.setattr(criteria, "run_em", no_run_em)
+    ds, _ = _indep_truth()
+    cfg = EmConfig(seed=3, n_starts=3)
+    report = select_model(ds, "micl", 3, cfg)
+    best = report.best
+    assert np.array_equal(report.fuzzy, run_em_from(ds, best.model, best.z_star, cfg).fuzzy)
 
 
 def test_shared_block_is_unit_weight_mle_of_observed_cells():

@@ -14,7 +14,7 @@ EXPECTED = {
     "aic": (3, [1, 1, 1, 1, 0, 1, 0], -767.7637947066701,
             "22322222222222222222222222222222222332321111111111111111111111111111111111111311"),
     "micl": (2, [1, 1, 0, 1, 0, 1, 0], -809.8714966910875,
-             "22222222222222222222222222222222222212221111111111111111111111111111111111111111"),
+             "11111111111111111111111111111111111121112222222222222222222222222222222222222222"),
     "bic-noselect": (2, [1, 1, 1, 1, 1, 1, 1], -797.3134666972597,
                      "22222222222222222222222222222222222222221111111111111111111111111121111111111111"),
     "icl-noselect": (2, [1, 1, 1, 1, 1, 1, 1], -816.1553481047373,

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from mixsel import (Dataset, EmConfig, Hyperparameters, VariableKind, ari,
+from mixsel import (CAT, Dataset, EmConfig, Hyperparameters, VariableKind, ari,
                     log_marginal_variable, select_model)
 from mixsel.simulate import MIXED_INDEP, ScenarioSpec, generate
 
@@ -48,8 +48,8 @@ def test_constant_column_shifts_the_objective_by_its_own_term(constant_column):
         assert rise == pytest.approx(want, abs=1e-9)
 
 
-def _indep_set(seed):
-    ds, _, _ = generate(ScenarioSpec(MIXED_INDEP, n=150, d=12, target_error=0.01,
+def _indep_set(seed, target_error=0.01):
+    ds, _, _ = generate(ScenarioSpec(MIXED_INDEP, n=150, d=12, target_error=target_error,
                                      missing_rate=0.1, seed=seed))
     return ds
 
@@ -85,6 +85,40 @@ def test_row_order_does_not_change_the_selection(criterion):
     else:
         # the starts draw different rows, so the EM stops at a slightly other point
         assert other.best.value == pytest.approx(base.best.value, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("criterion", ["bic", "micl"])
+def test_column_order_does_not_change_the_selection(criterion):
+    ds = _indep_set(3)
+    perm = np.random.default_rng(0).permutation(ds.d)
+    permuted = Dataset(ds.X[:, perm], [ds.kinds[j] for j in perm], mask=ds.mask[:, perm])
+    base = select_model(ds, criterion, 3, SMALL)
+    other = select_model(permuted, criterion, 3, SMALL)
+    assert other.best.g == base.best.g
+    assert np.array_equal(other.best.model.omega, base.best.model.omega[perm])
+    assert ari(base.partition, other.partition) == 1.0
+
+
+@pytest.mark.parametrize("criterion, target_error, seed, config", [
+    ("bic", 0.01, 3, SMALL),
+    ("micl", 0.01, 3, SMALL),
+    # overlapping classes: the MICL partitions agree, so a refit from that
+    # partition agrees too (a random-start refit moved it to ARI 0.973)
+    ("micl", 0.05, 1, EmConfig(seed=3, n_starts=20)),
+])
+def test_level_codes_do_not_change_the_selection(criterion, target_error, seed, config):
+    # every categorical cell x recoded as m_j + 1 - x
+    ds = _indep_set(seed, target_error)
+    X = ds.X.copy()
+    for j, kind in enumerate(ds.kinds):
+        if kind.tag == CAT:
+            X[:, j] = kind.levels + 1 - X[:, j]
+    recoded = Dataset(X, ds.kinds, mask=ds.mask)
+    base = select_model(ds, criterion, 3, config)
+    other = select_model(recoded, criterion, 3, config)
+    assert other.best.g == base.best.g
+    assert np.array_equal(other.best.model.omega, base.best.model.omega)
+    assert ari(base.partition, other.partition) == 1.0
 
 
 @pytest.mark.parametrize("eps", [
