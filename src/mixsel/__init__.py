@@ -18,9 +18,9 @@ from .em import (EmConfig, EmError, EmResult, EmptyComponent, e_step, m_step,
                  run_penalized_em)
 from .criteria import (CRITERIA, SelectionReport, aic, bic, count_params,
                        map_partition, select_model)
-from .micl import (MarginalTables, MiclConfig, MiclState,
-                   log_dirichlet_proportion_term, log_integrated_complete,
-                   log_marginal_variable, partition_step, run_micl)
+from .micl import (MarginalTables, MiclState, log_dirichlet_proportion_term,
+                   log_integrated_complete, log_marginal_variable,
+                   partition_step, run_micl)
 from .simulate import (InvalidShape, LengthMismatch, NoRoot, ScenarioSpec, ari,
                        calibrate_delta, gen_continuous, gen_mixed, generate,
                        inject_mcar)

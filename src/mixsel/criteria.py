@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import Dataset, Hyperparameters, Model, Parameters, count_params, map_partition
 from .em import EmConfig, EmResult, run_em, run_em_from, run_penalized_em
-from .micl import MarginalTables, MiclConfig, log_integrated_complete, run_micl
+from .micl import MarginalTables, log_integrated_complete, run_micl
 from .util import derive_seed
 
 CRITERIA = ("bic", "aic", "micl", "bic-noselect", "icl-noselect")
@@ -79,8 +79,7 @@ def select_model(dataset: Dataset, criterion: str, g_max: int, config: EmConfig,
             rec = GRecord(g, res.model, res.objective, res.loglik, res.theta, None,
                           time.perf_counter() - t0)
         elif criterion == "micl":
-            mcfg = MiclConfig(seed=cfg.seed, n_starts=cfg.n_starts)
-            model, z_star, value = run_micl(dataset, g, hyper, mcfg, tables)
+            model, z_star, value = run_micl(dataset, g, hyper, cfg, tables)
             rec = GRecord(g, model, value, None, None, z_star, time.perf_counter() - t0)
         else:
             model = Model(g, np.ones(dataset.d, dtype=np.int8))

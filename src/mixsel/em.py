@@ -67,7 +67,8 @@ class EmConfig:
     """Knobs shared by the EM engines: the seed of the starts, the iteration
     budget and relative-change stopping rule of one run, and the number of
     random starts. The penalty constant is an argument of the penalized
-    runner."""
+    runner; the MICL optimizer reads the seed and the number of starts. The
+    two budgets are integers: a slot stops at exactly ``max_iterations``."""
 
     seed: int
     max_iterations: int = 500
@@ -75,7 +76,8 @@ class EmConfig:
     n_starts: int = 20
 
     def __post_init__(self):
-        if not (self.max_iterations >= 1 and self.n_starts >= 1
+        budgets = (self.max_iterations, self.n_starts)
+        if not (all(isinstance(b, (int, np.integer)) and b >= 1 for b in budgets)
                 and 0 < self.rel_tolerance < np.inf):
             raise ValueError("invalid EM configuration")
 

@@ -37,14 +37,16 @@ column update: the row's column of ``Packed.cells`` changes rows of the sums,
 and the per-column changes its scoring pass kept are added to the factors of
 the relevant columns. So a move keeps the relevant columns' factors exact,
 and the model step, the only reader of the irrelevant columns' factors,
-refits every factor from the class sums. At g = 1 the answer is
+refits every factor from the class sums. A start alternates the two steps
+until it reaches a fixed point of both: a partition step whose last sweep
+made no move, then a model step that keeps omega. At g = 1 the answer is
 fixed (every label 1, no relevant column), so ``run_micl`` returns it directly.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -58,8 +60,9 @@ LGAMMA_ROWS = 1024       # ln Gamma(a + v) of a Poisson sum v is tabulated for v
 SWEEP_CAP = 50           # greedy sweeps per partition step
 BLOCK_ROWS = 256         # rows scored per candidate_values pass of a sweep
 MAX_ALTERNATIONS = 100   # partition/model alternations per start
-# the small EM whose MAP partition seeds a start (each start's fit names its seed)
-START_EM = EmConfig(seed=0, n_starts=1, max_iterations=200, rel_tolerance=1e-4)
+# the budget of the small EM whose MAP partition seeds a start (each start's
+# fit names its seed)
+START_EM = {"n_starts": 1, "max_iterations": 200, "rel_tolerance": 1e-4}
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +409,12 @@ def log_integrated_complete(dataset: Dataset, z, model: Model, hyper: Hyperparam
     return MiclState(tables, model, z).log_icl
 
 
-def partition_step(state: MiclState, *, rng: np.random.Generator) -> MiclState:
+def partition_step(state: MiclState, *, rng: np.random.Generator) -> bool:
     """Greedy single-observation reassignments (random order per sweep) until
     a full sweep makes no move or ``SWEEP_CAP`` sweeps are done. Never
-    decreases the objective.
+    decreases the objective. Returns True when the last sweep made no move
+    (the partition is settled under the state's model), False when
+    ``SWEEP_CAP`` stopped it.
 
     The next ``BLOCK_ROWS`` rows of the sweep's order are scored as one block
     against the current state; the first row with an improving move takes
@@ -439,32 +444,22 @@ def partition_step(state: MiclState, *, rng: np.random.Generator) -> MiclState:
             moved = True
             pos += f + 1
         if not moved:
-            break
-    return state
-
-
-@dataclass
-class MiclConfig:
-    """Seed and number of random starts of the MICL optimizer; its sweep,
-    alternation and start-EM budgets are the module constants above."""
-
-    seed: int
-    n_starts: int = 20
-
-    def __post_init__(self):
-        if self.n_starts < 1:
-            raise ValueError("invalid MICL configuration")
+            return True
+    return False
 
 
 def run_micl(dataset: Dataset, g: int, hyper: Hyperparameters,
-             config: MiclConfig, tables: MarginalTables | None = None):
-    """Best-of-starts alternating maximization of the integrated complete-data
-    likelihood over (omega, z) at fixed g.
+             config: EmConfig, tables: MarginalTables | None = None):
+    """Best-of-``config.n_starts`` alternating maximization of the integrated
+    complete-data likelihood over (omega, z) at fixed g. Reads only
+    ``config.seed`` and ``config.n_starts``; the sweep, alternation and
+    start-EM budgets are the module constants above.
 
     Each start draws omega ~ Bernoulli(1/2) per column, fits that model by a
     small-budget EM, takes the MAP partition, then alternates partition and
-    model steps until neither improves the objective. The start EMs of one g
-    run as one stack (``run_starts``). ``tables`` defaults to
+    model steps until a settled partition step is followed by a model step
+    that keeps omega, or ``MAX_ALTERNATIONS`` are done. The start EMs of one
+    g run as one stack (``run_starts``). ``tables`` defaults to
     ``MarginalTables(dataset, hyper)``, built once by a caller sweeping g.
     At g = 1 every start ends at the same state: every label 1 and, as the
     one class's factors equal the global ones, no column relevant. That
@@ -479,17 +474,17 @@ def run_micl(dataset: Dataset, g: int, hyper: Hyperparameters,
     rngs = [seeded_rng(config.seed, 91, s) for s in range(config.n_starts)]
     omegas = [rng.integers(0, 2, size=dataset.d).astype(np.int8) for rng in rngs]
     fits = run_starts(dataset, g, [(derive_seed(config.seed, 92, s), omega0)
-                                   for s, omega0 in enumerate(omegas)], START_EM, None)
+                                   for s, omega0 in enumerate(omegas)],
+                      replace(config, **START_EM), None)
     best: tuple | None = None
     for rng, omega0, fit in zip(rngs, omegas, fits):
         state = MiclState(tables, Model(g, omega0), map_partition(fit.fuzzy))
-        prev = state.log_icl
         for _ in range(MAX_ALTERNATIONS):
-            partition_step(state, rng=rng)
+            omega = state.model.omega
+            settled = partition_step(state, rng=rng)
             state.model_update()
-            if state.log_icl <= prev + 1e-9:
+            if settled and (state.model.omega == omega).all():
                 break
-            prev = state.log_icl
         if best is None or state.log_icl > best[2]:
             best = (state.model, state.z, state.log_icl)
     model, z, _ = best

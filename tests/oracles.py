@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import replace
 from itertools import compress
 
 import numpy as np
@@ -266,24 +265,24 @@ def sequential_em_starts(dataset, g, omega0, cfg, penalty_c):
 def sequential_run_micl(dataset, g, hyper, config):
     """The reference for ``micl.run_micl`` at g >= 2: each start draws omega
     from ``seeded_rng(seed, 91, s)`` and fits it by its own one-start
-    ``run_em`` under ``replace(START_EM, seed=derive_seed(seed, 92, s))``,
-    then alternates partition and model steps on the same stream. Returns
-    (Model, 1-based labels, value of a state rebuilt at the result)."""
+    ``run_em`` under ``EmConfig(derive_seed(seed, 92, s), **START_EM)``,
+    then alternates partition and model steps on the same stream until a
+    settled partition step is followed by a model step that keeps omega.
+    Returns (Model, 1-based labels, value of a state rebuilt at the result)."""
     tables = micl.MarginalTables(dataset, hyper)
     best = None
     for s in range(config.n_starts):
         rng = seeded_rng(config.seed, 91, s)
         omega0 = rng.integers(0, 2, size=dataset.d).astype(np.int8)
         fit = em.run_em(dataset, Model(g, omega0),
-                        replace(micl.START_EM, seed=derive_seed(config.seed, 92, s)))
+                        em.EmConfig(derive_seed(config.seed, 92, s), **micl.START_EM))
         state = micl.MiclState(tables, Model(g, omega0), map_partition(fit.fuzzy))
-        prev = state.log_icl
         for _ in range(micl.MAX_ALTERNATIONS):
-            micl.partition_step(state, rng=rng)
+            omega = state.model.omega
+            settled = micl.partition_step(state, rng=rng)
             state.model_update()
-            if state.log_icl <= prev + 1e-9:
+            if settled and (state.model.omega == omega).all():
                 break
-            prev = state.log_icl
         if best is None or state.log_icl > best[2]:
             best = (state.model, state.z, state.log_icl)
     model, z, _ = best

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mixsel import (Dataset, EmConfig, Hyperparameters, MiclConfig, Model,
+from mixsel import (Dataset, EmConfig, Hyperparameters, Model,
                     ScenarioSpec, VariableKind, ari, bic, count_params,
                     e_step, inject_mcar, log_integrated_complete,
                     log_marginal_variable, m_step, observed_loglik,
@@ -138,8 +138,8 @@ def test_criterion_02_missing_data_reduction():
         zz = np.random.default_rng(idx).integers(1, 3, ds_plain.n)
         assert log_integrated_complete(ds_plain, zz, model, ha) == \
             log_integrated_complete(ds_masked, zz, model, hb)
-        ma, _, va = run_micl(ds_plain, 2, ha, MiclConfig(seed=derive_seed(8203, idx), n_starts=2))
-        mb, _, vb = run_micl(ds_masked, 2, hb, MiclConfig(seed=derive_seed(8203, idx), n_starts=2))
+        ma, _, va = run_micl(ds_plain, 2, ha, EmConfig(seed=derive_seed(8203, idx), n_starts=2))
+        mb, _, vb = run_micl(ds_masked, 2, hb, EmConfig(seed=derive_seed(8203, idx), n_starts=2))
         assert va == vb and np.array_equal(ma.omega, mb.omega)
 
         # genuinely missing cells: the masked-column marginal must equal the
@@ -317,7 +317,7 @@ def _c5_instance(idx):
         ds = inject_mcar(ds, 0.15, derive_seed(8501, idx))
     hyper = Hyperparameters.default(ds)
     model, z_star, value = run_micl(ds, 2, hyper,
-                                    MiclConfig(seed=derive_seed(8502, idx), n_starts=10))
+                                    EmConfig(seed=derive_seed(8502, idx), n_starts=10))
     best = -np.inf
     for assign in itertools.product([1, 2], repeat=n):
         best = max(best, log_integrated_complete(ds, np.array(assign), model, hyper))

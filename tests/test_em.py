@@ -325,17 +325,27 @@ def test_run_penalized_em_rejects_zero_components():
     lambda: EmConfig(seed=0, rel_tolerance=np.nan),
     lambda: EmConfig(seed=0, rel_tolerance=np.inf),
     lambda: EmConfig(seed=0, max_iterations=np.nan),
+    lambda: EmConfig(seed=0, max_iterations=3.5),
+    lambda: EmConfig(seed=0, n_starts=2.5),
+    lambda: EmConfig(seed=0, n_starts=0),
     lambda: run_penalized_em(_mixed_dataset(seed=16), 2, np.nan, EmConfig(seed=0, n_starts=1)),
     lambda: run_penalized_em(_mixed_dataset(seed=16), 2, np.inf, EmConfig(seed=0, n_starts=1)),
     lambda: penalized_m_step(_mixed_dataset(seed=16), 2, np.full((60, 2), 0.5), -5.0),
     lambda: penalized_m_step(_mixed_dataset(seed=16), 2, np.full((60, 2), 0.5), np.nan),
-], ids=["tolerance-nan", "tolerance-inf", "iterations-nan", "penalty-nan", "penalty-inf",
-        "m-step-negative", "m-step-nan"])
+], ids=["tolerance-nan", "tolerance-inf", "iterations-nan", "iterations-3.5", "starts-2.5",
+        "starts-0", "penalty-nan", "penalty-inf", "m-step-negative", "m-step-nan"])
 def test_non_finite_or_negative_knobs_are_rejected(make):
     # NaN passes a `<= 0` check: it would run every start to the budget, or
-    # return a NaN objective with every column irrelevant
+    # return a NaN objective with every column irrelevant; a slot stops at
+    # exactly max_iterations, so 3.5 would never stop it
     with pytest.raises(ValueError):
         make()
+
+
+def test_numpy_integer_budgets_are_accepted():
+    cfg = EmConfig(seed=0, max_iterations=np.int64(3), rel_tolerance=1e-12,
+                   n_starts=np.int32(2))
+    assert run_em(_mixed_dataset(seed=16), Model(2, np.ones(4)), cfg).n_iterations == 3
 
 
 def _indep_truth(seed=1):

@@ -8,7 +8,7 @@ from scipy.special import gammaln
 
 import oracles
 from mixsel import micl
-from mixsel import (Dataset, Hyperparameters, MarginalTables, MiclConfig,
+from mixsel import (Dataset, EmConfig, Hyperparameters, MarginalTables,
                     MiclState, Model, VariableKind,
                     log_dirichlet_proportion_term, log_integrated_complete,
                     log_marginal_variable, partition_step, run_micl)
@@ -185,6 +185,22 @@ def test_partition_step_monotone_and_fixed_at_local_optimum():
         assert np.array_equal(state.z, frozen)
 
 
+def test_partition_step_reports_whether_its_last_sweep_moved(monkeypatch):
+    ds = _mixed_dataset(seed=10, n=20, missing=0.15)
+    tables = MarginalTables(ds, Hyperparameters.default(ds))
+    z = np.random.default_rng(30).integers(1, 3, size=ds.n)
+    state = MiclState(tables, Model(2, [1, 1, 1]), z)
+    monkeypatch.setattr(micl, "SWEEP_CAP", 1)
+    assert partition_step(state, rng=np.random.default_rng(0)) is False
+    assert not np.array_equal(state.z, z)  # the one sweep moved
+    monkeypatch.undo()
+    assert partition_step(state, rng=np.random.default_rng(1)) is True
+    # at a local optimum the first sweep makes no move
+    frozen = state.z.copy()
+    assert partition_step(state, rng=np.random.default_rng(2)) is True
+    assert np.array_equal(state.z, frozen)
+
+
 def test_partition_step_reaches_enumeration_local_maximum():
     ds = Dataset([[0.1], [0.15], [3.0]], [CONT])
     h = Hyperparameters.default(ds)
@@ -236,7 +252,7 @@ def test_run_micl_single_component(monkeypatch):
     monkeypatch.setattr(micl, "run_starts", no_em)
     ds = _mixed_dataset(seed=12)
     h = Hyperparameters.default(ds)
-    model, z, value = run_micl(ds, 1, h, MiclConfig(seed=1, n_starts=2))
+    model, z, value = run_micl(ds, 1, h, EmConfig(seed=1, n_starts=2))
     assert model.g == 1 and not model.omega.any()
     assert (z == 1).all()
     assert value == pytest.approx(
@@ -250,8 +266,12 @@ def _continuous_dataset(seed=0, n=40):
     return Dataset(X, [CONT, CONT, CONT])
 
 
-@pytest.mark.parametrize("make", [lambda: _mixed_dataset(seed=22, n=40, missing=0.1),
-                                  _continuous_dataset], ids=["mixed-missing", "continuous"])
+MICL_SETS = pytest.mark.parametrize(
+    "make", [lambda: _mixed_dataset(seed=22, n=40, missing=0.1), _continuous_dataset],
+    ids=["mixed-missing", "continuous"])
+
+
+@MICL_SETS
 def test_run_micl_matches_the_one_em_per_start_reference(make, monkeypatch):
     # the start EMs of one g run as one stack, and give the answer of one
     # run_em call per start
@@ -263,7 +283,7 @@ def test_run_micl_matches_the_one_em_per_start_reference(make, monkeypatch):
 
     ds = make()
     h = Hyperparameters.default(ds)
-    cfg = MiclConfig(seed=23, n_starts=5)
+    cfg = EmConfig(seed=23, n_starts=5)
     monkeypatch.setattr(micl, "run_starts", counted)
     for g in (2, 3):
         model, z, value = run_micl(ds, g, h, cfg)
@@ -275,10 +295,33 @@ def test_run_micl_matches_the_one_em_per_start_reference(make, monkeypatch):
     assert calls == [2, 3]
 
 
+@MICL_SETS
+def test_run_micl_ends_at_a_fixed_point_of_both_steps(make):
+    # no single-row move improves the returned partition under the returned
+    # model, and the model step there keeps omega; one start per call, so
+    # every start's end is checked, not only the best one's. A column whose
+    # per-class and global factors tie (one non-empty class) is decided by
+    # rounding, which a rebuilt state does not reproduce, so it is skipped.
+    ds = make()
+    h = Hyperparameters.default(ds)
+    tables = MarginalTables(ds, h)
+    for g, seed in itertools.product((2, 3), range(5)):
+        model, z, _ = run_micl(ds, g, h, EmConfig(seed=seed, n_starts=1), tables)
+        state = MiclState(tables, model, z)
+        vals = state.candidate_values(np.arange(ds.n))
+        assert (vals.max(axis=1) <= vals[np.arange(ds.n), state.zi]).all()
+        state.model_update()
+        gap = np.zeros(ds.d)
+        for kind, phi, glob in zip(tables.kinds, state.phi, tables.glob):
+            gap[kind.cols] = phi.sum(0) - glob
+        clear = np.abs(gap) > 1e-9
+        assert np.array_equal(state.model.omega[clear], model.omega[clear])
+
+
 def test_run_micl_deterministic():
     ds = _mixed_dataset(seed=13, missing=0.1)
     h = Hyperparameters.default(ds)
-    cfg = MiclConfig(seed=21, n_starts=4)
+    cfg = EmConfig(seed=21, n_starts=4)
     a = run_micl(ds, 2, h, cfg)
     b = run_micl(ds, 2, h, cfg)
     assert a[2] == b[2]
@@ -290,7 +333,7 @@ def test_run_micl_value_consistent_and_beats_random_partitions():
     rng = np.random.default_rng(14)
     ds = _mixed_dataset(seed=14, n=30)
     h = Hyperparameters.default(ds)
-    model, z_star, value = run_micl(ds, 2, h, MiclConfig(seed=3, n_starts=6))
+    model, z_star, value = run_micl(ds, 2, h, EmConfig(seed=3, n_starts=6))
     assert value == pytest.approx(
         log_integrated_complete(ds, z_star, model, h), abs=1e-8)
     for _ in range(100):
@@ -582,11 +625,6 @@ def test_state_rejects_labels_outside_one_to_g(z, omega):
     if len(omega) == ds.d:
         with pytest.raises(ValueError):
             log_marginal_variable(ds, 0, z, 2, 1, h)
-
-
-def test_micl_config_rejects_zero_starts():
-    with pytest.raises(ValueError):
-        MiclConfig(seed=1, n_starts=0)
 
 
 def test_all_missing_rows_change_only_the_class_sizes():
