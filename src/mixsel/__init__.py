@@ -16,8 +16,8 @@ from .data import (CAT, CONT, INT, AllMissingColumn, ColumnGroups, DataError,
 from .em import (EmConfig, EmError, EmResult, EmptyComponent, e_step, m_step,
                  observed_loglik, penalized_m_step, run_em, run_em_from,
                  run_penalized_em)
-from .criteria import (CRITERIA, SelectionReport, aic, bic, count_params,
-                       map_partition, select_model)
+from .criteria import (CRITERIA, SelectionReport, bic, count_params, map_partition,
+                       select_model)
 from .micl import (MarginalTables, MiclState, log_dirichlet_proportion_term,
                    log_integrated_complete, log_marginal_variable,
                    partition_step, run_micl)

@@ -101,7 +101,7 @@ def _cluster(args, argv, dataset, info, timings) -> int:
         "n_params_best": count_params(report.best.model, dataset.kinds),
         "per_g": [
             {"g": rec.g, "value": rec.value,
-             "loglik": rec.loglik,
+             "loglik": None if rec.fit is None else rec.fit.loglik,
              "omega": [int(w) for w in rec.model.omega]}
             for rec in report.records
         ],
@@ -110,17 +110,17 @@ def _cluster(args, argv, dataset, info, timings) -> int:
 
     g = report.best.g
     _write_partition(os.path.join(args.out, "partition.csv"), mid,
-                     report.partition, report.fuzzy)
+                     report.partition, report.best.fit.fuzzy)
 
     dump_json({
         "manifest_id": mid,
-        "tau": [float(t) for t in report.best.theta.tau],
+        "tau": [float(t) for t in report.best.fit.theta.tau],
         "columns": [
             {"name": dataset.names[j],
              "kind": dataset.kinds[j].tag,
              "levels": dataset.cat_labels.get(j),
              "relevant": bool(report.best.model.omega[j]),
-             "components": [_block_json(report.best.theta, dataset, j, k)
+             "components": [_block_json(report.best.fit.theta, dataset, j, k)
                             for k in range(g)]}
             for j in range(dataset.d)
         ],

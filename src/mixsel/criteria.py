@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, Hyperparameters, Model, Parameters, count_params, map_partition
+from .data import Dataset, Hyperparameters, Model, count_params, map_partition
 from .em import EmConfig, EmResult, run_em, run_em_from, run_penalized_em
 from .micl import MarginalTables, log_integrated_complete, run_micl
 from .util import derive_seed
@@ -24,19 +24,19 @@ def bic(loglik: float, nu_m: int, n: int) -> float:
     return loglik - 0.5 * nu_m * np.log(n)
 
 
-def aic(loglik: float, nu_m: int) -> float:
-    return loglik - nu_m
-
-
 @dataclass
 class GRecord:
-    """One fit of the g sweep."""
+    """One fit of the g sweep: the model, its criterion value, and ``fit``,
+    the EM fit behind that value. Under bic and aic ``fit`` is the penalized
+    EM whose objective is the value; under bic-noselect and icl-noselect the
+    plain EM whose log-likelihood or MAP partition the value scores. Under
+    micl the value needs no EM fit, so ``fit`` is None except on the winner,
+    which holds its refit from ``z_star``, its MICL partition."""
 
     g: int
     model: Model
     value: float
-    loglik: float | None
-    theta: Parameters | None
+    fit: EmResult | None
     z_star: np.ndarray | None
     runtime_s: float
 
@@ -45,7 +45,6 @@ class GRecord:
 class SelectionReport:
     records: list = field(default_factory=list)
     best: GRecord | None = None
-    fuzzy: np.ndarray | None = None
     partition: np.ndarray | None = None
 
 
@@ -57,7 +56,9 @@ def select_model(dataset: Dataset, criterion: str, g_max: int, config: EmConfig,
     integrated-likelihood optimizer and refits the winner by one EM from its
     MICL partition z*, classes numbered by first row; bic-noselect/icl-noselect
     force every column relevant and score plain EM fits by the BIC or by the
-    integrated complete-data value at the MAP partition.
+    integrated complete-data value at the MAP partition. The winner's
+    ``fit`` holds its parameters and responsibilities, and ``partition`` is
+    their MAP partition.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -68,39 +69,29 @@ def select_model(dataset: Dataset, criterion: str, g_max: int, config: EmConfig,
     tables = MarginalTables(dataset, hyper) if criterion in ("micl", "icl-noselect") else None
     n = dataset.n
     report = SelectionReport()
-    em_results: dict[int, EmResult] = {}
     for g in range(1, g_max + 1):
         cfg = replace(config, seed=derive_seed(config.seed, 17, g))
         t0 = time.perf_counter()
+        fit = z_star = None
         if criterion in ("bic", "aic"):
             c = 0.5 * np.log(n) if criterion == "bic" else 1.0
-            res = run_penalized_em(dataset, g, float(c), cfg)
-            em_results[g] = res
-            rec = GRecord(g, res.model, res.objective, res.loglik, res.theta, None,
-                          time.perf_counter() - t0)
+            fit = run_penalized_em(dataset, g, float(c), cfg)
+            model, value = fit.model, fit.objective
         elif criterion == "micl":
             model, z_star, value = run_micl(dataset, g, hyper, cfg, tables)
-            rec = GRecord(g, model, value, None, None, z_star, time.perf_counter() - t0)
         else:
             model = Model(g, np.ones(dataset.d, dtype=np.int8))
-            res = run_em(dataset, model, cfg)
-            em_results[g] = res
+            fit = run_em(dataset, model, cfg)
             if criterion == "bic-noselect":
-                value = bic(res.loglik, count_params(model, dataset.kinds), n)
+                value = bic(fit.loglik, count_params(model, dataset.kinds), n)
             else:
-                value = log_integrated_complete(dataset, map_partition(res.fuzzy),
+                value = log_integrated_complete(dataset, map_partition(fit.fuzzy),
                                                 model, hyper, tables)
-            rec = GRecord(g, model, value, res.loglik, res.theta, None,
-                          time.perf_counter() - t0)
-        report.records.append(rec)
+        report.records.append(GRecord(g, model, value, fit, z_star, time.perf_counter() - t0))
     # records are in g order and max keeps the first of equal values
     report.best = max(report.records, key=lambda rec: rec.value)
     if criterion == "micl":
         # inference for the selected model only, from its MICL partition
-        refit = run_em_from(dataset, report.best.model, report.best.z_star, config)
-        report.best.theta, report.best.loglik = refit.theta, refit.loglik
-        report.fuzzy = refit.fuzzy
-    else:
-        report.fuzzy = em_results[report.best.g].fuzzy
-    report.partition = map_partition(report.fuzzy)
+        report.best.fit = run_em_from(dataset, report.best.model, report.best.z_star, config)
+    report.partition = map_partition(report.best.fit.fuzzy)
     return report

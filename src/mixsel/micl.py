@@ -314,8 +314,8 @@ class MiclState:
         One pass over the block: per kind, one gather of its class sums at
         the J relevant columns, then the (B, g, J) "up" changes (the row joins
         class k) and the (B, J) "down" changes (it leaves its own class); a
-        missing cell adds exactly 0. The state keeps these changes until the
-        next move, for ``apply_move``."""
+        missing cell adds exactly 0. The state keeps these changes and the
+        returned values until the next move, for ``apply_move``."""
         nk, u = self.st["nk"], self.tables.hyper.u
         idx = np.arange(len(rows))
         a = self.zi[rows]
@@ -338,17 +338,17 @@ class MiclState:
             vals += up.sum(axis=2)
             rem += down.sum(axis=1)
             changes.append((up, down))
-        self._scored = (rows, changes)
         vals = self.log_icl + vals + rem[:, None]
         vals[idx, a] = self.log_icl
+        self._scored = (rows, changes, vals)
         return vals
 
-    def apply_move(self, i: int, k: int, new_value: float) -> None:
+    def apply_move(self, i: int, k: int) -> None:
         """Reassign observation i to component k (0-based): move its column of
         ``Packed.cells`` between two rows of ``S``, add the changes that the
         last ``candidate_values`` pass kept for row i to the two classes'
-        factors of the relevant columns, and take ``new_value`` (from that
-        pass) as the value. ``ValueError`` if that pass did not score row i."""
+        factors of the relevant columns, and take that pass's value of the
+        move as ``log_icl``. ``ValueError`` if that pass did not score row i."""
         hit = None if self._scored is None else np.flatnonzero(self._scored[0] == i)
         if hit is None or not hit.size:
             raise ValueError(f"row {i} is not in the last scored block")
@@ -364,7 +364,7 @@ class MiclState:
                 phi[a, J] += change[1][b]
                 phi[k, J] += change[0][b, k]
         self.zi[i] = k
-        self.log_icl = new_value
+        self.log_icl = float(self._scored[2][b, k])
         self._scored = None
 
     # -- block updates --------------------------------------------------------
@@ -372,13 +372,16 @@ class MiclState:
     def model_update(self) -> None:
         """Refit every factor from the class sums, then set every omega_j to
         the per-column argmax of the marginal (strict inequality keeps a
-        column relevant; ties drop it). The moves keep only the relevant
+        column relevant; ties drop it). A column observed in one class only
+        ties exactly, so it needs observed cells in two classes, not a
+        comparison that rounding decides. The moves keep only the relevant
         columns' factors exact, so this is the one refit after them, and the
         one reader of the irrelevant columns' factors."""
         self.phi = self.tables.factors(self.st)
         omega = np.zeros(self.tables.packed.d, dtype=np.int8)
         for kind, phi, glob in zip(self.tables.kinds, self.phi, self.tables.glob):
-            omega[kind.cols] = phi.sum(0) > glob
+            split = (self.st[kind.keys[0]] > 0).sum(0) >= 2
+            omega[kind.cols] = split & (phi.sum(0) > glob)
         self._set_model(Model(self.model.g, omega))
 
 
@@ -422,9 +425,10 @@ def partition_step(state: MiclState, *, rng: np.random.Generator) -> bool:
     scored against the same state the sequential sweep would have seen, so
     the visits and moves are those of a row-by-row sweep.
 
-    A move keeps the relevant columns' factors exact, and ``log_icl`` is
-    the value its scoring pass gave; the irrelevant columns' factors are
-    left for ``MiclState.model_update`` to refit."""
+    A row improves when a value beats ``log_icl``, its own class's value. A
+    move keeps the relevant columns' factors exact and takes ``log_icl``
+    from its scoring pass; the irrelevant columns' factors are left for
+    ``MiclState.model_update`` to refit."""
     n = state.tables.packed.n
     for _ in range(SWEEP_CAP):
         moved = False
@@ -433,14 +437,12 @@ def partition_step(state: MiclState, *, rng: np.random.Generator) -> bool:
         while pos < n:
             rows = order[pos:pos + BLOCK_ROWS]
             vals = state.candidate_values(rows)
-            best = vals.argmax(axis=1)
-            idx = np.arange(len(rows))
-            hits = np.flatnonzero(vals[idx, best] > vals[idx, state.zi[rows]])
+            hits = np.flatnonzero(vals.max(axis=1) > state.log_icl)
             if not hits.size:
                 pos += len(rows)
                 continue
             f = int(hits[0])
-            state.apply_move(int(rows[f]), int(best[f]), float(vals[f, best[f]]))
+            state.apply_move(int(rows[f]), int(vals[f].argmax()))
             moved = True
             pos += f + 1
         if not moved:
@@ -461,9 +463,9 @@ def run_micl(dataset: Dataset, g: int, hyper: Hyperparameters,
     that keeps omega, or ``MAX_ALTERNATIONS`` are done. The start EMs of one
     g run as one stack (``run_starts``). ``tables`` defaults to
     ``MarginalTables(dataset, hyper)``, built once by a caller sweeping g.
-    At g = 1 every start ends at the same state: every label 1 and, as the
-    one class's factors equal the global ones, no column relevant. That
-    state is returned without running the starts.
+    At g = 1 every start ends at the same state: every label 1 and, as no
+    column is observed in two classes, no column relevant. That state is
+    returned without running the starts.
 
     Returns (Model, 1-based hard labels, objective value).
     """

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mixsel import (Dataset, EmConfig, Model, VariableKind, aic, bic,
-                    count_params, map_partition, observed_loglik, select_model)
+from mixsel import (Dataset, EmConfig, Model, VariableKind, bic, count_params,
+                    map_partition, observed_loglik, select_model)
 
 CONT = VariableKind.continuous()
 INT = VariableKind.integer()
@@ -20,7 +20,6 @@ def test_bic_aic_arithmetic():
     assert bic(-100.0, 5, 100) == pytest.approx(-111.51293, abs=1e-5)
     assert bic(-7.25, 0, 50) == -7.25
     assert bic(-7.25, 5, 1) == -7.25
-    assert aic(-100.0, 5) == -105.0
     with pytest.raises(ValueError):
         bic(0.0, 1, 0)
 
@@ -57,7 +56,7 @@ def test_select_model_bic_identity():
     ds = _noise_dataset(seed=2, n=80, d=4)
     report = select_model(ds, "bic", 3, EmConfig(seed=3, n_starts=5))
     for rec in report.records:
-        ll = observed_loglik(ds, rec.model, rec.theta)
+        ll = observed_loglik(ds, rec.model, rec.fit.theta)
         assert rec.value == pytest.approx(
             bic(ll, count_params(rec.model, ds.kinds), ds.n), abs=1e-8)
 
@@ -115,3 +114,28 @@ def test_micl_sweep_builds_the_marginal_tables_once(monkeypatch):
     report = select_model(ds, "micl", 3, EmConfig(seed=1, n_starts=2))
     assert [rec.g for rec in report.records] == [1, 2, 3]
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("criterion", ["bic", "aic", "micl", "bic-noselect", "icl-noselect"])
+def test_each_record_holds_the_fit_behind_its_value(criterion):
+    from mixsel import EmResult, Hyperparameters, log_integrated_complete
+    rng = np.random.default_rng(9)
+    z = np.repeat([0, 1], 40)
+    X = np.column_stack([rng.normal(3.0 * z, 1.0), rng.normal(size=80), rng.poisson(2.0 + 4.0 * z)])
+    ds = Dataset(X.astype(float), [CONT, CONT, INT])
+    report = select_model(ds, criterion, 3, EmConfig(seed=6, n_starts=3))
+    assert report.best.g == 2
+    for rec in report.records:
+        if criterion == "micl" and rec is not report.best:
+            assert rec.fit is None  # the MICL value needs no EM fit
+            continue
+        assert isinstance(rec.fit, EmResult) and rec.fit.theta.g == rec.g
+        assert np.array_equal(rec.fit.model.omega, rec.model.omega)
+        if criterion in ("bic", "aic"):
+            assert rec.value == rec.fit.objective
+        elif criterion == "bic-noselect":
+            assert rec.value == bic(rec.fit.loglik, count_params(rec.model, ds.kinds), ds.n)
+        elif criterion == "icl-noselect":
+            assert rec.value == log_integrated_complete(
+                ds, map_partition(rec.fit.fuzzy), rec.model, Hyperparameters.default(ds))
+    assert np.array_equal(report.partition, map_partition(report.best.fit.fuzzy))

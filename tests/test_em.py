@@ -405,7 +405,7 @@ def test_micl_winner_is_refit_from_its_partition_alone(monkeypatch):
     cfg = EmConfig(seed=3, n_starts=3)
     report = select_model(ds, "micl", 3, cfg)
     best = report.best
-    assert np.array_equal(report.fuzzy, run_em_from(ds, best.model, best.z_star, cfg).fuzzy)
+    assert np.array_equal(best.fit.fuzzy, run_em_from(ds, best.model, best.z_star, cfg).fuzzy)
 
 
 def test_shared_block_is_unit_weight_mle_of_observed_cells():
@@ -479,9 +479,9 @@ def test_single_kind_data_round_trips_through_the_public_operations(kind_tag, cr
     assert 0.05 < 1.0 - ds.mask.mean() < 0.15
     report = select_model(ds, criterion, 2, EmConfig(seed=3, n_starts=3))
     model = report.best.model
-    assert observed_loglik(ds, model, report.best.theta) == pytest.approx(
-        report.best.loglik, rel=1e-12)
-    t = e_step(ds, model, report.best.theta)
+    assert observed_loglik(ds, model, report.best.fit.theta) == pytest.approx(
+        report.best.fit.loglik, rel=1e-12)
+    t = e_step(ds, model, report.best.fit.theta)
     assert t.shape == (ds.n, report.best.g)
     assert np.allclose(t.sum(axis=1), 1.0, atol=1e-12)
     theta = m_step(ds, model, t)

@@ -162,7 +162,8 @@ def test_model_step_detects_separated_means():
 
 def _move(state, i, k):
     """Reassign row i to class k (0-based) at the move's scored value."""
-    state.apply_move(i, k, float(state.candidate_values(np.array([i]))[0, k]))
+    state.candidate_values(np.array([i]))
+    state.apply_move(i, k)
 
 
 def test_partition_step_monotone_and_fixed_at_local_optimum():
@@ -299,9 +300,7 @@ def test_run_micl_matches_the_one_em_per_start_reference(make, monkeypatch):
 def test_run_micl_ends_at_a_fixed_point_of_both_steps(make):
     # no single-row move improves the returned partition under the returned
     # model, and the model step there keeps omega; one start per call, so
-    # every start's end is checked, not only the best one's. A column whose
-    # per-class and global factors tie (one non-empty class) is decided by
-    # rounding, which a rebuilt state does not reproduce, so it is skipped.
+    # every start's end is checked, not only the best one's
     ds = make()
     h = Hyperparameters.default(ds)
     tables = MarginalTables(ds, h)
@@ -311,11 +310,21 @@ def test_run_micl_ends_at_a_fixed_point_of_both_steps(make):
         vals = state.candidate_values(np.arange(ds.n))
         assert (vals.max(axis=1) <= vals[np.arange(ds.n), state.zi]).all()
         state.model_update()
-        gap = np.zeros(ds.d)
-        for kind, phi, glob in zip(tables.kinds, state.phi, tables.glob):
-            gap[kind.cols] = phi.sum(0) - glob
-        clear = np.abs(gap) > 1e-9
-        assert np.array_equal(state.model.omega[clear], model.omega[clear])
+        assert np.array_equal(state.model.omega, model.omega)
+
+
+def test_model_step_drops_a_column_observed_in_one_class():
+    # this start ends with every row in one class, where each column's class
+    # factors sum to its global factor up to rounding: the tie drops every
+    # column, in the run and in a state rebuilt at its answer
+    ds = _continuous_dataset()
+    h = Hyperparameters.default(ds)
+    model, z, _ = run_micl(ds, 2, h, EmConfig(seed=0, n_starts=1))
+    assert np.bincount(z, minlength=3).tolist() == [0, 0, 40]
+    assert not model.omega.any()
+    state = MiclState(MarginalTables(ds, h), model, z)
+    state.model_update()
+    assert not state.model.omega.any()
 
 
 def test_run_micl_deterministic():
@@ -537,14 +546,15 @@ def test_apply_move_needs_the_row_scored_in_the_last_block():
     ds, tables, state = _moved_state(30)
     fresh = MiclState(tables, state.model, state.z)
     with pytest.raises(ValueError):
-        fresh.apply_move(0, 1, 0.0)
+        fresh.apply_move(0, 1)
     vals = state.candidate_values(np.arange(10))
     with pytest.raises(ValueError):
-        state.apply_move(20, 1, 0.0)
+        state.apply_move(20, 1)
     k = (state.zi[3] + 1) % state.model.g
-    state.apply_move(3, k, float(vals[3, k]))
+    state.apply_move(3, k)
+    assert state.log_icl == vals[3, k]  # the value its scoring pass gave
     with pytest.raises(ValueError):  # a move spends the scored block
-        state.apply_move(4, k, float(vals[4, k]))
+        state.apply_move(4, k)
 
 
 def _sequential_partition_step(state, rng):
@@ -556,7 +566,7 @@ def _sequential_partition_step(state, rng):
             vals = state.candidate_values(np.array([i]))[0]
             k = int(np.argmax(vals))
             if vals[k] > vals[state.zi[i]]:
-                state.apply_move(int(i), k, float(vals[k]))
+                state.apply_move(int(i), k)
                 moved = True
         if not moved:
             break

@@ -66,8 +66,8 @@ def test_all_missing_rows_take_the_proportions(criterion):
     mask = ds.mask.copy()
     mask[blank] = False
     report = select_model(ds.replace_mask(mask), criterion, 3, SMALL)
-    tau = report.best.theta.tau
-    assert np.allclose(report.fuzzy[blank], tau, rtol=0.0, atol=1e-12)
+    tau = report.best.fit.theta.tau
+    assert np.allclose(report.best.fit.fuzzy[blank], tau, rtol=0.0, atol=1e-12)
     assert (report.partition[blank] == np.argmax(tau) + 1).all()
 
 
