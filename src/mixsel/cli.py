@@ -55,13 +55,16 @@ def _block_json(theta, dataset, j, k):
 
 def _write_partition(path, mid, partition, fuzzy) -> None:
     """``partition.csv``: row number, hard label and the g responsibilities
-    (``repr`` of each float) per row, in one ``writerows`` pass."""
+    (``repr`` of each float) per row. The ``repr`` of every responsibility
+    goes into one flat list, each row is one join of its slice, and the rows
+    go out in one ``write``, the bytes a ``csv.writer`` would give."""
+    g = fuzzy.shape[1]
+    cells = list(map(repr, fuzzy.ravel().tolist()))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# manifest_id: {mid}\n")
-        w = csv.writer(fh)
-        w.writerow(["row", "label"] + [f"t_{k + 1}" for k in range(fuzzy.shape[1])])
-        w.writerows([i, z, *map(repr, row)]
-                    for i, (z, row) in enumerate(zip(partition.tolist(), fuzzy.tolist()), 1))
+        fh.write(",".join(["row", "label"] + [f"t_{k + 1}" for k in range(g)]) + "\r\n")
+        fh.write("".join(f"{i},{z},{','.join(cells[r:r + g])}\r\n" for i, (z, r)
+                         in enumerate(zip(partition.tolist(), range(0, len(cells), g)), 1)))
 
 
 def cmd_cluster(args, argv) -> int:
@@ -102,6 +105,8 @@ def _cluster(args, argv, dataset, info, timings) -> int:
         "per_g": [
             {"g": rec.g, "value": rec.value,
              "loglik": None if rec.fit is None else rec.fit.loglik,
+             "converged": None if rec.fit is None else rec.fit.converged,
+             "degenerate": None if rec.fit is None else rec.fit.degenerate,
              "omega": [int(w) for w in rec.model.omega]}
             for rec in report.records
         ],
@@ -130,6 +135,13 @@ def _cluster(args, argv, dataset, info, timings) -> int:
     _write_manifest(args.out, mid, argv, args.seed, info,
                     {"criterion": args.criterion, "gmax": args.gmax,
                      "starts": args.starts}, timings)
+    fit = report.best.fit
+    problems = ["is degenerate (a variance spike)"] if fit.degenerate else []
+    if not fit.converged:
+        problems.append(f"did not converge in {fit.n_iterations} iterations")
+    if problems:
+        print(f"warning: the selected g={g} fit {' and '.join(problems)}; "
+              "see model.json", file=sys.stderr)
     print(f"selected g={report.best.g}, {int(report.best.model.omega.sum())}/"
           f"{dataset.d} relevant columns, {args.criterion}={report.best.value:.6f}")
     print(f"results written to {args.out}")

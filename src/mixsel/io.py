@@ -8,12 +8,18 @@ point/exponent -> cont, numeric integral and nonnegative -> int, otherwise cat
 with levels mapped 1..m in sorted order. Level mappings always land in the run
 manifest so results are reproducible.
 
-``csv.reader`` is the one parser. ``read_csv`` then works a column at a
-time: one ``str.strip`` pass, one ``float`` pass (the missing tokens read
-as ``nan``) or one level lookup, and the mask from the NaNs. A column whose
-NaN count differs from its missing-token count holds a literal ``nan`` cell,
-and only then is each cell tested for a missing token. The cell that stops a
-column's parse is located only after the column fails.
+``csv.reader`` is the one parser, and its rows are kept as it returns them.
+``read_csv`` then works a column at a time. A column declared ``cont`` or
+``int`` is first parsed from its raw fields in one ``float`` pass (``float``
+strips blanks itself, and the exact missing tokens read as ``nan``). Only a
+column where that pass fails (a padded or blank missing token, a bad cell), a
+categorical column and an undeclared one take one ``str.strip`` pass and then
+one ``float`` pass or one level lookup. The mask comes from the NaNs. A
+column whose NaN count differs from its missing-token count holds a literal
+``nan`` cell, and only then is each cell tested for a missing token. The cell
+that stops a column's parse is located only after the column fails, and the
+physical line of a malformed row only after the row is found, by reading the
+file again.
 """
 from __future__ import annotations
 
@@ -70,19 +76,55 @@ def read_schema(path: str) -> dict:
     return out
 
 
+def _is_data_row(row: list) -> bool:
+    """A header or body row: neither blank nor a lone ``#`` comment field."""
+    return bool(row) and not (row[0].startswith("#") and len(row) == 1)
+
+
+def _is_label_row(row: list) -> bool:
+    """A row of a partition file: neither blank nor a ``#`` comment."""
+    return bool(row) and not row[0].startswith("#")
+
+
+def _rows(path: str, keep) -> list:
+    """The rows of ``path`` that ``keep`` keeps, as ``csv.reader`` returns them."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(filter(keep, csv.reader(fh)))
+
+
+def _first_bad_row(path: str, keep, bad) -> tuple[int, list]:
+    """(physical line, row) of the first row that ``keep`` keeps and ``bad``
+    flags. Rows are kept without their line numbers, so the file is read
+    again, only to name a malformed row in a message."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        row = next(row for row in reader if keep(row) and bad(row))
+        return reader.line_num, row
+
+
+def _parse_fields(fields, out: np.ndarray) -> bool:
+    """Parse a numeric column's fields into ``out`` in one ``float`` pass,
+    the exact missing tokens as ``nan``. False, with ``out`` untouched, if a
+    field does not parse as it stands: a bad cell, or in raw fields a padded
+    or blank missing token."""
+    try:
+        out[:] = np.fromiter(map(float, map(_AS_NAN.get, fields, fields)), float,
+                             len(fields))
+    except ValueError:
+        return False
+    return True
+
+
 def read_csv(path: str, schema: dict | None = None):
     """Load a dataset; returns (Dataset, manifest info).
 
     The manifest info records, per column, the kind, whether it was declared
     or inferred, and the categorical level mapping.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader
-                if row and not (row[0].startswith("#") and len(row) == 1)]
+    rows = _rows(path, _is_data_row)
     if len(rows) < 2:
         raise DataError(f"{path}: need a header row and at least one data row")
-    (_, header), *body = rows
+    header, *body = rows
     names = [c.strip() for c in header]
     n, d = len(body), len(names)
     seen = set()
@@ -90,51 +132,52 @@ def read_csv(path: str, schema: dict | None = None):
         if name in seen:
             raise DataError(f"{path}: duplicate column name {name!r}")
         seen.add(name)
-    for line, row in body:
-        if len(row) != d:
-            raise DataError(f"{path}:{line}: expected {d} fields, got {len(row)}")
+    if set(map(len, body)) != {d}:
+        line, row = _first_bad_row(path, _is_data_row, lambda row: len(row) != d)
+        raise DataError(f"{path}:{line}: expected {d} fields, got {len(row)}")
     kinds: list[VariableKind] = []
     info = {"kinds": {}, "source": {}, "categorical_levels": {}}
     XT = np.empty((d, n))
     maskT = np.empty((d, n), dtype=bool)  # only NA or "" is missing, not "nan"
     cat_labels = {}
-    columns = zip(*(row for _, row in body))
-    for j, (name, col) in enumerate(zip(names, columns)):
-        col = list(map(str.strip, col))
+    for j, (name, raw) in enumerate(zip(names, zip(*body))):
         declared = schema.get(name) if schema else None
         if schema is not None and declared is None:
             raise DataError(f"{path}: column {name!r} missing from the schema")
-        tag, levels = declared if declared else \
-            (infer_kind(list(filterfalse(_MISSING.__contains__, col))), None)
         info["source"][name] = "declared" if declared else "inferred"
-        if tag == CAT:
-            if levels is None:
-                levels = sorted(set(col) - _MISSING)
-            if len(levels) < 2:
-                raise DataError(f"{path}: categorical column {name!r} needs >= 2 levels")
-            kinds.append(VariableKind.categorical(len(levels)))
-            cat_labels[j] = list(levels)
-            info["categorical_levels"][name] = list(levels)
-            lookup = {lab: float(h + 1) for h, lab in enumerate(levels)}
-            lookup.update(dict.fromkeys(_MISSING, np.nan))
-            values = list(map(lookup.get, col))
-            bad, problem = None in values, "is not a declared level"
+        tag, levels = declared or (None, None)
+        if tag in (CONT, INT) and _parse_fields(raw, XT[j]):
+            col = raw  # every field parsed as it stands, so none needs stripping
         else:
-            kinds.append(VariableKind.continuous() if tag == CONT
-                         else VariableKind.integer())
-            try:
-                values, bad = list(map(float, map(_AS_NAN.get, col, col))), False
-            except ValueError:
-                values, bad = list(map(_numeric, col)), True
-            problem = "is not numeric"
-        if bad:
-            i = values.index(None)
-            raise DataError(f"{path}: cell ({i + 1}, {name!r}) = {col[i]!r} {problem}")
-        XT[j] = values
+            col = list(map(str.strip, raw))
+            if tag is None:
+                tag = infer_kind(list(filterfalse(_MISSING.__contains__, col)))
+            if tag == CAT:
+                if levels is None:
+                    levels = sorted(set(col) - _MISSING)
+                if len(levels) < 2:
+                    raise DataError(f"{path}: categorical column {name!r} needs >= 2 levels")
+                cat_labels[j] = list(levels)
+                info["categorical_levels"][name] = list(levels)
+                lookup = {lab: float(h + 1) for h, lab in enumerate(levels)}
+                lookup.update(dict.fromkeys(_MISSING, np.nan))
+                values = list(map(lookup.get, col))
+                if None in values:
+                    i = values.index(None)
+                    raise DataError(f"{path}: cell ({i + 1}, {name!r}) = {col[i]!r} "
+                                    "is not a declared level")
+                XT[j] = values
+            elif not _parse_fields(col, XT[j]):
+                i = list(map(_numeric, col)).index(None)
+                raise DataError(f"{path}: cell ({i + 1}, {name!r}) = {col[i]!r} is not numeric")
+        kinds.append(VariableKind.categorical(len(levels)) if tag == CAT
+                     else VariableKind.continuous() if tag == CONT
+                     else VariableKind.integer())
         observed = ~np.isnan(XT[j])
         if tag != CAT and n - np.count_nonzero(observed) != \
                 col.count("") + col.count(MISSING_TOKEN):
-            observed = [raw not in _MISSING for raw in col]  # a literal nan cell
+            # a literal nan cell
+            observed = [cell not in _MISSING for cell in map(str.strip, col)]
         maskT[j] = observed
         info["kinds"][name] = tag
     ds = Dataset(XT.T, kinds, names=names, mask=maskT.T, cat_labels=cat_labels)
@@ -175,21 +218,18 @@ def write_schema(dataset: Dataset, path: str) -> None:
 def read_partition(path: str) -> np.ndarray:
     """Hard labels from a partition file: either our partition.csv (a
     ``label`` column) or one label per line."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader
-                if row and not row[0].startswith("#")]
+    rows = _rows(path, _is_label_row)
     if not rows:
         raise DataError(f"{path}: empty partition file")
-    header = [c.strip() for c in rows[0][1]]
+    header = [c.strip() for c in rows[0]]
     if "label" in header:
         col = header.index("label")
-        for line, row in rows[1:]:
-            if len(row) <= col:
-                raise DataError(f"{path}:{line}: no label field (column {col + 1})")
-        labels = [row[col].strip() for _, row in rows[1:]]
+        if min(map(len, rows)) <= col:
+            line, _ = _first_bad_row(path, _is_label_row, lambda row: len(row) <= col)
+            raise DataError(f"{path}:{line}: no label field (column {col + 1})")
+        labels = [row[col].strip() for row in rows[1:]]
     else:
-        labels = [row[0].strip() for _, row in rows]
+        labels = [row[0].strip() for row in rows]
         if labels[0].lower() in ("label", "labels"):
             labels = labels[1:]
     if not labels:

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from mixsel import Dataset, VariableKind
 from mixsel.cli import main
+from mixsel.em import EmConfig
 from mixsel.io import write_csv, write_schema
 
 
@@ -290,3 +292,54 @@ def test_cluster_invalid_input_exits_two_without_output(tmp_path, capsys, csv_te
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert not out.exists()
+
+
+def test_cluster_flags_a_degenerate_winner(tmp_path, capsys):
+    # tests/test_em.py's all-spiked set: three pairs of exact duplicates, so
+    # every 3-class start collapses onto variance spikes and only the floored
+    # fallback start, flagged degenerate, survives
+    data, out = tmp_path / "dup.csv", tmp_path / "run"
+    data.write_text("x\n0\n0\n5\n5\n10\n10\n")
+    (tmp_path / "dup.schema").write_text("x:cont\n")
+    code = main(["cluster", str(data), "--schema", str(tmp_path / "dup.schema"),
+                 "--criterion", "bic-noselect", "--gmax", "3", "--starts", "3",
+                 "--seed", "0", "--out", str(out)])
+    assert code == 0
+    model = json.loads((out / "model.json").read_text())
+    best = model["per_g"][model["g_best"] - 1]
+    assert model["g_best"] == 3 and best["degenerate"] is True
+    assert [rec["degenerate"] for rec in model["per_g"]] == [False, False, True]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: ") and "degenerate" in err[0]
+
+
+def test_cluster_flags_a_winner_cut_at_its_iteration_budget(sample_csv, tmp_path, capsys,
+                                                              monkeypatch):
+    monkeypatch.setattr("mixsel.cli.EmConfig", functools.partial(EmConfig, max_iterations=2))
+    data, schema = sample_csv
+    out = tmp_path / "run"
+    assert main(["cluster", data, "--schema", schema, "--criterion", "aic",
+                 "--gmax", "3", "--starts", "3", "--seed", "7", "--out", str(out)]) == 0
+    model = json.loads((out / "model.json").read_text())
+    # a one-class fit is at its optimum after one M step; two classes are not
+    assert [rec["converged"] for rec in model["per_g"]] == [True, False, False]
+    assert model["g_best"] == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: ")
+    assert "did not converge in 2 iterations" in err[0]
+
+
+def test_cluster_records_flags_per_g(sample_csv, tmp_path, capsys):
+    data, schema = sample_csv
+    for criterion in ("bic", "micl"):
+        out = tmp_path / criterion
+        assert main(["cluster", data, "--schema", schema, "--criterion", criterion,
+                     "--gmax", "2", "--starts", "3", "--seed", "7", "--out", str(out)]) == 0
+        model = json.loads((out / "model.json").read_text())
+        for rec in model["per_g"]:
+            flags = (rec["loglik"], rec["converged"], rec["degenerate"])
+            if criterion == "bic" or rec["g"] == model["g_best"]:
+                assert flags[1:] == (True, False) and flags[0] is not None
+            else:  # micl runs EM only for its winner
+                assert flags == (None, None, None)
+        assert capsys.readouterr().err == ""

@@ -11,7 +11,7 @@ from oracles import read_csv_per_cell, write_partition_per_row
 from mixsel import DataError, ScenarioSpec, generate
 from mixsel.cli import _write_partition
 from mixsel.criteria import map_partition
-from mixsel.io import read_csv, read_schema, write_csv, write_schema
+from mixsel.io import read_csv, read_partition, read_schema, write_csv, write_schema
 
 
 def read_both(path, schema=None):
@@ -130,3 +130,88 @@ def test_partition_writer_matches_the_per_row_reference(tmp_path, g):
     blob = (tmp_path / "new.csv").read_bytes()
     assert blob == (tmp_path / "ref.csv").read_bytes()
     assert blob.count(b"\r\n") == 41 and b"5e-324" in blob
+
+
+# cells that a declared numeric column parses from its raw fields, and the
+# padded or blank cells that send it back to the strip pass
+RAW_EDGE = [
+    "a,b,c,d,e",
+    "\t2.5, 1_000 ,1.5,4,x",
+    "NA,,  ,3,y",
+    ",NA,2.5, NA ,x",
+    "-0.5,7,NA,,y",
+]
+
+
+def write_raw_edge(tmp_path, rows):
+    path, schema = tmp_path / "raw.csv", tmp_path / "raw.schema"
+    path.write_text("\n".join(rows) + "\n")
+    schema.write_text("a:cont\nb:int\nc:cont\nd:int\ne:cat:x|y\n")
+    return path, read_schema(str(schema))
+
+
+def test_reader_matches_the_per_cell_reference_on_raw_numeric_fields(tmp_path):
+    path, schema = write_raw_edge(tmp_path, RAW_EDGE)
+    assert_same_reading(path)
+    assert_same_reading(path, schema)
+    ds, _ = read_csv(str(path), schema=schema)
+    assert ds.X[0, :2].tolist() == [2.5, 1000.0]
+    assert ds.mask[:, 0].tolist() == [True, False, False, True]
+    assert ds.mask[:, 1].tolist() == [True, False, False, True]
+    # a blank-only cell and a padded NA are missing
+    assert ds.mask[:, 2].tolist() == [True, False, True, False]
+    assert ds.mask[:, 3].tolist() == [True, True, False, False]
+
+
+@pytest.mark.parametrize("column", [0, 1, 2, 3])
+@pytest.mark.parametrize("cell", ["NaN", " -inf "])
+def test_reader_rejects_non_finite_raw_fields_as_the_reference(tmp_path, column, cell):
+    rows = list(RAW_EDGE)
+    fields = rows[2].split(",")
+    fields[column] = cell
+    rows[2] = ",".join(fields)
+    path, schema = write_raw_edge(tmp_path, rows)
+    assert_same_reading(path)
+    assert_same_reading(path, schema)
+    with pytest.raises(DataError, match=rf"non-finite observed cell at \(1, {column}\)"):
+        read_csv(str(path), schema=schema)
+
+
+RAW_CELLS = ["", "  ", "NA", " NA ", "\t2.5", " 1_000 ", "NaN", " -inf ", "3", "-0",
+             "1e3", "x"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(RAW_CELLS), min_size=3, max_size=3),
+                min_size=1, max_size=6),
+       st.lists(st.sampled_from(["cont", "int", "cat:x|NA"]), min_size=3, max_size=3))
+def test_reader_matches_the_per_cell_reference_on_random_raw_fields(tmp_path_factory, rows,
+                                                                    kinds):
+    tmp = tmp_path_factory.mktemp("raw")
+    path, schema = tmp / "d.csv", tmp / "d.schema"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["x", "y", "z"], *rows])
+    schema.write_text("".join(f"{name}:{kind}\n" for name, kind in zip("xyz", kinds)))
+    assert_same_reading(path)
+    assert_same_reading(path, read_schema(str(schema)))
+
+
+def test_reader_names_the_physical_line_of_a_short_row(tmp_path):
+    # a quoted field over two lines, a comment line and a blank line come
+    # before the short row: it is body row 3 but ends on line 6
+    path = tmp_path / "short.csv"
+    path.write_text('a,b\n1,"2\n"\n# note\n\n3\n4,5\n')
+    assert_same_reading(path)
+    with pytest.raises(DataError) as exc:
+        read_csv(str(path))
+    assert str(exc.value) == f"{path}:6: expected 2 fields, got 1"
+
+
+def test_partition_reader_names_the_physical_line_of_a_row_without_label(tmp_path):
+    path = tmp_path / "partition.csv"
+    path.write_text("# manifest_id: abc\nrow,label\n1,2\n# note\n\n2\n")
+    with pytest.raises(DataError) as exc:
+        read_partition(str(path))
+    assert str(exc.value) == f"{path}:6: no label field (column 2)"
+    path.write_text("# manifest_id: abc\nrow,label\n1,2\n# note\n2,1\n")
+    assert read_partition(str(path)).tolist() == ["2", "1"]
