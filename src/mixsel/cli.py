@@ -235,14 +235,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "gmax", 1) < 1:
-        parser.error("--gmax must be >= 1")
-    if getattr(args, "starts", 1) < 1:
-        parser.error("--starts must be >= 1")
-    if getattr(args, "replicates", 1) < 1:
-        parser.error("--replicates must be >= 1")
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be >= 1")
+    for flag in ("gmax", "starts", "replicates", "threads"):
+        if getattr(args, flag, 1) < 1:
+            parser.error(f"--{flag} must be >= 1")
     try:
         return args.func(args, ["mixsel"] + argv)
     except (DataError, LengthMismatch, InvalidShape, OSError) as exc:

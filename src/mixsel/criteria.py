@@ -58,12 +58,15 @@ def select_model(dataset: Dataset, criterion: str, g_max: int, config: EmConfig,
     force every column relevant and score plain EM fits by the BIC or by the
     integrated complete-data value at the MAP partition. The winner's
     ``fit`` holds its parameters and responsibilities, and ``partition`` is
-    their MAP partition.
+    their MAP partition. A g_max above the row count is rejected before any
+    fit, since a class needs a row to start from.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
     if g_max < 1:
         raise ValueError("g_max must be >= 1")
+    if g_max > dataset.n:
+        raise ValueError(f"g_max {g_max} exceeds n = {dataset.n}, the number of rows")
     if hyper is None and criterion in ("micl", "icl-noselect"):
         hyper = Hyperparameters.default(dataset)
     tables = MarginalTables(dataset, hyper) if criterion in ("micl", "icl-noselect") else None

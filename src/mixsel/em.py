@@ -153,13 +153,14 @@ class OneClassFit(NamedTuple):
 
     blocks: tuple       # (mu, sigma, rate, probs) shaped as for g = 1, mu centered
     loglik: np.ndarray  # (d,) per-column log-likelihood
+    sums: dict          # the class sums of the one-class partition (``Packed.class_sums``)
 
 
 def one_class_fit(packed: Packed) -> OneClassFit:
     """The per-class estimator at g = 1, on all-ones weights."""
     st = packed.class_sums(np.ones((1, packed.n)))
     _, blocks = _per_class_blocks(packed, st)
-    return OneClassFit(blocks, _weighted_loglik_by_column(packed, st, blocks, 1)[0])
+    return OneClassFit(blocks, _weighted_loglik_by_column(packed, st, blocks, 1)[0], st)
 
 
 def _relevant_rows(omega, rows: int) -> np.ndarray:
@@ -199,7 +200,8 @@ def _log_joint(packed: Packed, blocks) -> np.ndarray:
     per-class coefficients with ``Packed.cells`` (rows 0 on masked cells). The
     Gaussian expansion over the Mc, Xc and Xc2 rows rounds at ~eps mu^2/sigma^2
     per cell, so a pair whose mean lies over 1e3 sigmas from the column mean (on
-    the sigma floor, or collapsed onto duplicates) is added cell by cell."""
+    the sigma floor, or collapsed onto duplicates) is added cell by cell, over
+    its observed cells."""
     mu, sigma, rate, probs = blocks
     g = len(mu)
     by_cell = mu * mu > 1e6 * sigma * sigma
@@ -210,8 +212,13 @@ def _log_joint(packed: Packed, blocks) -> np.ndarray:
     V = np.hstack([-0.5 * mu * mu * prec - const, mu * prec, -0.5 * prec,  # Packed.BLOCKS
                    -rate, np.log(rate), -np.ones_like(rate), np.zeros((g, packed.groups.n_cat)),
                    lp.reshape(g, packed.groups.n_cat * packed.m_max)]) @ packed.cells
-    for k, j in zip(*np.nonzero(by_cell)):
-        V[k] += dens.normal_logpdf(packed.Xc[j], mu[k, j], sigma[k, j]) * packed.Mc[j]
+    # observed cells only: a masked cell's stored 0 may lie far enough from a
+    # floored mean to give -inf, which its 0 mask would turn into NaN. An
+    # observed cell that far has density 0, so its overflow to -inf is right.
+    with np.errstate(over="ignore"):
+        for k, j in zip(*np.nonzero(by_cell)):
+            obs = packed.Mc[j] > 0
+            V[k, obs] += dens.normal_logpdf(packed.Xc[j, obs], mu[k, j], sigma[k, j])
     return V
 
 

@@ -9,22 +9,23 @@ with levels mapped 1..m in sorted order. Level mappings always land in the run
 manifest so results are reproducible.
 
 ``csv.reader`` is the one parser, and its rows are kept as it returns them.
-``read_csv`` then works a column at a time. A column declared ``cont`` or
-``int`` is first parsed from its raw fields in one ``float`` pass (``float``
-strips blanks itself, and the exact missing tokens read as ``nan``). Only a
-column where that pass fails (a padded or blank missing token, a bad cell), a
-categorical column and an undeclared one take one ``str.strip`` pass and then
-one ``float`` pass or one level lookup. The mask comes from the NaNs. A
+``read_csv`` then works a column at a time, in one path. Every column not
+declared ``cat`` is first parsed from its raw fields in one ``float`` pass
+(``float`` strips blanks itself, and the exact missing tokens read as
+``nan``); only if that fails (a padded or blank missing token, a bad cell) is
+it stripped and parsed once more. A declared numeric column that still fails
+names its first bad cell, found by the same parse run on one cell at a time;
+an undeclared one is categorical. An undeclared column that parses takes its
+kind from that parse: its observed values and its text. A categorical column
+takes one strip pass and one level lookup. The mask comes from the NaNs. A
 column whose NaN count differs from its missing-token count holds a literal
-``nan`` cell, and only then is each cell tested for a missing token. The cell
-that stops a column's parse is located only after the column fails, and the
-physical line of a malformed row only after the row is found, by reading the
-file again.
+``nan`` cell, and only then is each cell tested for a missing token. The
+physical line of a malformed row is found only after the row is, by reading
+the file again.
 """
 from __future__ import annotations
 
 import csv
-from itertools import filterfalse
 
 import numpy as np
 
@@ -35,21 +36,11 @@ _MISSING = frozenset(("", MISSING_TOKEN))
 _AS_NAN = dict.fromkeys(_MISSING, "nan")  # what float() reads a missing cell as
 
 
-def _numeric(raw: str):
-    """One cell's float (NaN for a missing token), None if it is not numeric."""
-    try:
-        return float(_AS_NAN.get(raw, raw))
-    except ValueError:
-        return None
-
-
-def infer_kind(values: list[str]) -> str:
-    """Kind of a column from its observed raw strings."""
-    try:
-        x = np.array(list(map(float, values)))
-    except ValueError:
-        return CAT
-    text = "".join(values)
+def infer_kind(fields, x: np.ndarray) -> str:
+    """Kind of a numeric column from its fields and its observed values ``x``:
+    cont if a field has a decimal point or an exponent or a value is not a
+    nonnegative integer, else int. The missing tokens hold no such mark."""
+    text = "".join(fields)
     if "." in text or "e" in text or "E" in text or ((x != np.floor(x)) | (x < 0)).any():
         return CONT
     return INT
@@ -136,7 +127,6 @@ def read_csv(path: str, schema: dict | None = None):
         line, row = _first_bad_row(path, _is_data_row, lambda row: len(row) != d)
         raise DataError(f"{path}:{line}: expected {d} fields, got {len(row)}")
     kinds: list[VariableKind] = []
-    info = {"kinds": {}, "source": {}, "categorical_levels": {}}
     XT = np.empty((d, n))
     maskT = np.empty((d, n), dtype=bool)  # only NA or "" is missing, not "nan"
     cat_labels = {}
@@ -144,42 +134,41 @@ def read_csv(path: str, schema: dict | None = None):
         declared = schema.get(name) if schema else None
         if schema is not None and declared is None:
             raise DataError(f"{path}: column {name!r} missing from the schema")
-        info["source"][name] = "declared" if declared else "inferred"
         tag, levels = declared or (None, None)
-        if tag in (CONT, INT) and _parse_fields(raw, XT[j]):
-            col = raw  # every field parsed as it stands, so none needs stripping
-        else:
+        col = raw  # while every field parses as it stands, none needs stripping
+        if tag == CAT or not _parse_fields(col, XT[j]):
             col = list(map(str.strip, raw))
-            if tag is None:
-                tag = infer_kind(list(filterfalse(_MISSING.__contains__, col)))
-            if tag == CAT:
-                if levels is None:
-                    levels = sorted(set(col) - _MISSING)
-                if len(levels) < 2:
-                    raise DataError(f"{path}: categorical column {name!r} needs >= 2 levels")
-                cat_labels[j] = list(levels)
-                info["categorical_levels"][name] = list(levels)
-                lookup = {lab: float(h + 1) for h, lab in enumerate(levels)}
-                lookup.update(dict.fromkeys(_MISSING, np.nan))
-                values = list(map(lookup.get, col))
-                if None in values:
-                    i = values.index(None)
+            if tag != CAT and not _parse_fields(col, XT[j]):
+                if tag is not None:
+                    i = next(i for i, cell in enumerate(col)
+                             if not _parse_fields((cell,), XT[j, i:i + 1]))
                     raise DataError(f"{path}: cell ({i + 1}, {name!r}) = {col[i]!r} "
-                                    "is not a declared level")
-                XT[j] = values
-            elif not _parse_fields(col, XT[j]):
-                i = list(map(_numeric, col)).index(None)
-                raise DataError(f"{path}: cell ({i + 1}, {name!r}) = {col[i]!r} is not numeric")
-        kinds.append(VariableKind.categorical(len(levels)) if tag == CAT
-                     else VariableKind.continuous() if tag == CONT
-                     else VariableKind.integer())
-        observed = ~np.isnan(XT[j])
-        if tag != CAT and n - np.count_nonzero(observed) != \
+                                    "is not numeric")
+                tag = CAT
+        if tag == CAT:
+            if levels is None:
+                levels = sorted(set(col) - _MISSING)
+            if len(levels) < 2:
+                raise DataError(f"{path}: categorical column {name!r} needs >= 2 levels")
+            cat_labels[j] = list(levels)
+            lookup = {lab: float(h + 1) for h, lab in enumerate(levels)}
+            lookup.update(dict.fromkeys(_MISSING, np.nan))
+            values = list(map(lookup.get, col))
+            if None in values:
+                i = values.index(None)
+                raise DataError(f"{path}: cell ({i + 1}, {name!r}) = {col[i]!r} "
+                                "is not a declared level")
+            XT[j] = values
+        maskT[j] = ~np.isnan(XT[j])
+        if tag != CAT and n - np.count_nonzero(maskT[j]) != \
                 col.count("") + col.count(MISSING_TOKEN):
             # a literal nan cell
-            observed = [cell not in _MISSING for cell in map(str.strip, col)]
-        maskT[j] = observed
-        info["kinds"][name] = tag
+            maskT[j] = [cell not in _MISSING for cell in map(str.strip, col)]
+        tag = tag or infer_kind(col, XT[j, maskT[j]])
+        kinds.append(VariableKind(tag, len(levels or ())))
+    info = {"kinds": {name: kind.tag for name, kind in zip(names, kinds)},
+            "source": dict.fromkeys(names, "inferred" if schema is None else "declared"),
+            "categorical_levels": {names[j]: list(levels) for j, levels in cat_labels.items()}}
     ds = Dataset(XT.T, kinds, names=names, mask=maskT.T, cat_labels=cat_labels)
     return ds, info
 

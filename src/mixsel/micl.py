@@ -225,7 +225,7 @@ class MarginalTables:
         # a kind without columns would only add empty factor calls to each move
         self.kinds = tuple(kind for kind in kinds if kind.cols.size)
         # the global marginal is the per-class factor of the one-class partition
-        self.glob = tuple(phi[0] for phi in self.factors(p.class_sums(np.ones((1, p.n)))))
+        self.glob = tuple(phi[0] for phi in self.factors(p.one_class.sums))
 
     def factors(self, st: dict) -> tuple:
         """Per kind, the (g, ·) per-class factors of its columns from the

@@ -254,6 +254,39 @@ def test_cluster_more_components_than_rows_exits_one(tmp_path, capsys, criterion
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_cluster_gmax_above_the_row_count_exits_one_before_any_fit(tmp_path, capsys,
+                                                                   monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran")
+    monkeypatch.setattr("mixsel.criteria.run_penalized_em", no_fit)
+    data, out = tmp_path / "three.csv", tmp_path / "run"
+    data.write_text("x,k\n0.5,1\n1.5,2\n2.5,4\n")
+    code = main(["cluster", str(data), "--gmax", "4", "--starts", "2", "--seed", "1",
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["numerical failure: g_max 4 exceeds n = 3, the number of rows"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cluster_masked_cells_far_from_a_spike_give_a_finite_model(tmp_path, capsys, seed):
+    # a 1e150 pair and missing cells in one column: a class collapses onto
+    # the pair, and its spike is evaluated cell by cell over observed cells
+    # only, so no masked cell turns the fit into NaN; the winner is the
+    # degenerate fallback fit
+    data, out = tmp_path / "far.csv", tmp_path / "run"
+    data.write_text("x,y\n1e150,1\n1e150,2\n0,1\n0.5,NA\n-1,3\n2,NA\n,2\n,1\n1,1\n0.3,2\n")
+    code = main(["cluster", str(data), "--criterion", "bic-noselect", "--gmax", "3",
+                 "--starts", "2", "--seed", str(seed), "--out", str(out)])
+    assert code == 0
+    model = json.loads((out / "model.json").read_text())
+    assert np.isfinite([(rec["value"], rec["loglik"]) for rec in model["per_g"]]).all()
+    assert model["per_g"][model["g_best"] - 1]["degenerate"] is True
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: ") and "degenerate" in err[0]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cluster_overflowing_cell_exits_one_without_model(tmp_path, capsys):
     # a valid cell whose square overflows: Packed's squared-value row holds

@@ -119,12 +119,18 @@ def test_hyperparameters_reject_non_finite_values(field, value):
         replace(h, **{field: value if field == "u" else np.full_like(getattr(h, field), value)})
 
 
-def test_kind_inference():
-    assert infer_kind(["1.5", "2"]) == "cont"
-    assert infer_kind(["1e3", "2"]) == "cont"
-    assert infer_kind(["1", "2", "30"]) == "int"
-    assert infer_kind(["-1", "2"]) == "cont"  # negatives leave Poisson support
-    assert infer_kind(["a", "2"]) == "cat"
+def test_kind_inference(tmp_path):
+    def kind(*fields):
+        return infer_kind(fields, np.array([float(f) for f in fields]))
+    assert kind("1.5", "2") == "cont"
+    assert kind("1e3", "2") == "cont"
+    assert kind("1", "2", "30") == "int"
+    assert kind("-1", "2") == "cont"  # negatives leave Poisson support
+    # a column that does not parse as numbers is categorical
+    path = tmp_path / "k.csv"
+    path.write_text("k\na\n2\n")
+    ds, info = read_csv(str(path))
+    assert info["kinds"] == {"k": "cat"} and ds.cat_labels == {0: ["2", "a"]}
 
 
 def test_csv_roundtrip_with_schema(tmp_path):

@@ -211,6 +211,25 @@ def test_log_joint_is_the_cell_by_cell_sum():
     assert (got[1, np.flatnonzero(packed.Mc[0])[1:]] < -1e10).all()
 
 
+def test_log_joint_by_cell_pair_sums_over_observed_cells_only():
+    # class 2 sits on the sigma floor at a cell 1e150 from the column mean,
+    # so its pair is added cell by cell: the masked cell (stored as 0, the
+    # mean) adds nothing, the observed cells far from the spike have density
+    # 0, and no cell gives NaN
+    x = np.array([1e150, 1e150, 0.0, 0.5, np.nan, 2.0])
+    ds = Dataset(x[:, None], [CONT], mask=~np.isnan(x)[:, None])
+    packed = ds.packed()
+    _, sigma1, rate1, probs1 = packed.one_class.blocks
+    mu = np.array([[0.0], [packed.Xc[0, 0]]])
+    sigma = np.array([sigma1[0], [SIGMA_FLOOR]])
+    got = em._log_joint(packed, (mu, sigma, np.repeat(rate1, 2, axis=0),
+                                 np.repeat(probs1, 2, axis=0)))
+    assert not np.isnan(got).any() and np.isfinite(got[0]).all()
+    assert got[1, 4] == 0.0
+    assert np.array_equal(got[1, :2], normal_logpdf(packed.Xc[0, :2], mu[1, 0], SIGMA_FLOOR))
+    assert np.isneginf(got[1, [2, 3, 5]]).all()
+
+
 def test_delta_is_the_cell_by_cell_expected_loglik_gain():
     ds, z = _mixed_set()
     packed = ds.packed()

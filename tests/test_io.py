@@ -196,6 +196,34 @@ def test_reader_matches_the_per_cell_reference_on_random_raw_fields(tmp_path_fac
     assert_same_reading(path, read_schema(str(schema)))
 
 
+NUMERIC_CELLS = ["3", "-0", "1e3", "2.5", " 7 ", "", "NA", " NA "]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(NUMERIC_CELLS), min_size=3, max_size=3),
+                min_size=1, max_size=6))
+def test_reader_infers_kinds_from_the_parse_as_the_reference(tmp_path_factory, rows):
+    # undeclared columns of numbers and missing tokens: one without a padded
+    # missing token parses from its raw fields and takes its kind from that
+    # parse, one with it from its stripped fields
+    path = tmp_path_factory.mktemp("infer") / "d.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["x", "y", "z"], *rows])
+    assert_same_reading(path)
+
+
+def test_reader_names_a_bad_cell_after_a_padded_missing_token(tmp_path):
+    # the raw pass stops at the padded NA, the stripped pass at the bad cell,
+    # and the message names the bad cell
+    path, schema = tmp_path / "d.csv", tmp_path / "d.schema"
+    path.write_text("a,b\n0.5,1\n1.5, NA \n2.5,zz\n0.1,2\n")
+    schema.write_text("a:cont\nb:int\n")
+    schema = read_schema(str(schema))
+    assert_same_reading(path, schema)
+    with pytest.raises(DataError, match=r"cell \(3, 'b'\) = 'zz' is not numeric"):
+        read_csv(str(path), schema=schema)
+
+
 def test_reader_names_the_physical_line_of_a_short_row(tmp_path):
     # a quoted field over two lines, a comment line and a blank line come
     # before the short row: it is body row 3 but ends on line 6
