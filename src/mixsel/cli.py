@@ -14,17 +14,17 @@ import sys
 import time
 
 from . import __version__
-from .criteria import CRITERIA, count_params, select_model
+from .criteria import CRITERIA, TooManyComponents, count_params, select_model
 from .data import DataError
 from .em import EmConfig, EmError
 from .io import read_csv, read_partition, read_schema
 from .simulate import (CONTINUOUS_TRIDIAG, MIXED_INDEP, InvalidShape,
                        LengthMismatch, NoRoot, ScenarioSpec, ari)
 from .campaign import run_campaign
-from .util import dump_json
+from .util import NonFiniteValue, dump_json
 
 # the errors that exit 1
-_NUMERICAL_FAILURES = (EmError, NoRoot, FloatingPointError, ValueError)
+_NUMERICAL_FAILURES = (EmError, NoRoot, FloatingPointError, NonFiniteValue, TooManyComponents)
 
 
 def _manifest_id(argv) -> str:
@@ -105,13 +105,13 @@ def _cluster(args, argv, dataset, info, timings) -> int:
         "per_g": [
             {"g": rec.g, "value": rec.value,
              "loglik": None if rec.fit is None else rec.fit.loglik,
+             "n_iterations": None if rec.fit is None else rec.fit.n_iterations,
              "converged": None if rec.fit is None else rec.fit.converged,
              "degenerate": None if rec.fit is None else rec.fit.degenerate,
              "omega": [int(w) for w in rec.model.omega]}
             for rec in report.records
         ],
     }, os.path.join(args.out, "model.json"))
-    timings["fit_per_g"] = [rec.runtime_s for rec in report.records]
 
     g = report.best.g
     _write_partition(os.path.join(args.out, "partition.csv"), mid,

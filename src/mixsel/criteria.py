@@ -5,17 +5,20 @@ the component count. The parameter count ``count_params`` lives next to
 MICL starts share it; both are re-exported here."""
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import Dataset, Hyperparameters, Model, count_params, map_partition
-from .em import EmConfig, EmResult, run_em, run_em_from, run_penalized_em
+from .em import EmConfig, EmResult, run_em_from, run_starts
 from .micl import MarginalTables, log_integrated_complete, run_micl
 from .util import derive_seed
 
 CRITERIA = ("bic", "aic", "micl", "bic-noselect", "icl-noselect")
+
+
+class TooManyComponents(ValueError):
+    """A ``g_max`` above the row count: each class starts from a row."""
 
 
 def bic(loglik: float, nu_m: int, n: int) -> float:
@@ -38,7 +41,6 @@ class GRecord:
     value: float
     fit: EmResult | None
     z_star: np.ndarray | None
-    runtime_s: float
 
 
 @dataclass
@@ -56,41 +58,45 @@ def select_model(dataset: Dataset, criterion: str, g_max: int, config: EmConfig,
     integrated-likelihood optimizer and refits the winner by one EM from its
     MICL partition z*, classes numbered by first row; bic-noselect/icl-noselect
     force every column relevant and score plain EM fits by the BIC or by the
-    integrated complete-data value at the MAP partition. The winner's
+    integrated complete-data value at the MAP partition. Under every
+    criterion but micl the EM starts of all g run as one stack
+    (``run_starts``), each g's with the seed it would get alone. The winner's
     ``fit`` holds its parameters and responsibilities, and ``partition`` is
-    their MAP partition. A g_max above the row count is rejected before any
-    fit, since a class needs a row to start from.
+    their MAP partition. A g_max above the row count raises
+    ``TooManyComponents`` before any fit, since a class needs a row to start
+    from.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
     if g_max < 1:
         raise ValueError("g_max must be >= 1")
     if g_max > dataset.n:
-        raise ValueError(f"g_max {g_max} exceeds n = {dataset.n}, the number of rows")
+        raise TooManyComponents(f"g_max {g_max} exceeds n = {dataset.n}, the number of rows")
     if hyper is None and criterion in ("micl", "icl-noselect"):
         hyper = Hyperparameters.default(dataset)
     tables = MarginalTables(dataset, hyper) if criterion in ("micl", "icl-noselect") else None
-    n = dataset.n
+    n, gs = dataset.n, range(1, g_max + 1)
+    seeds = [derive_seed(config.seed, 17, g) for g in gs]
     report = SelectionReport()
-    for g in range(1, g_max + 1):
-        cfg = replace(config, seed=derive_seed(config.seed, 17, g))
-        t0 = time.perf_counter()
-        fit = z_star = None
-        if criterion in ("bic", "aic"):
-            c = 0.5 * np.log(n) if criterion == "bic" else 1.0
-            fit = run_penalized_em(dataset, g, float(c), cfg)
-            model, value = fit.model, fit.objective
-        elif criterion == "micl":
-            model, z_star, value = run_micl(dataset, g, hyper, cfg, tables)
-        else:
-            model = Model(g, np.ones(dataset.d, dtype=np.int8))
-            fit = run_em(dataset, model, cfg)
-            if criterion == "bic-noselect":
-                value = bic(fit.loglik, count_params(model, dataset.kinds), n)
+    if criterion == "micl":
+        for g, seed in zip(gs, seeds):
+            model, z_star, value = run_micl(dataset, g, hyper, replace(config, seed=seed), tables)
+            report.records.append(GRecord(g, model, value, None, z_star))
+    else:
+        # every g's starts run as the slots of one EM stack; bic and aic
+        # choose omega under their penalty, the others keep every column
+        c = {"bic": float(0.5 * np.log(n)), "aic": 1.0}.get(criterion)
+        omega = None if c is not None else np.ones(dataset.d, dtype=np.int8)
+        fits = run_starts(dataset, [(g, seed, omega) for g, seed in zip(gs, seeds)], config, c)
+        for g, fit in zip(gs, fits):
+            if c is not None:
+                value = fit.objective
+            elif criterion == "bic-noselect":
+                value = bic(fit.loglik, count_params(fit.model, dataset.kinds), n)
             else:
                 value = log_integrated_complete(dataset, map_partition(fit.fuzzy),
-                                                model, hyper, tables)
-        report.records.append(GRecord(g, model, value, fit, z_star, time.perf_counter() - t0))
+                                                fit.model, hyper, tables)
+            report.records.append(GRecord(g, fit.model, value, fit, None))
     # records are in g order and max keeps the first of equal values
     report.best = max(report.records, key=lambda rec: rec.value)
     if criterion == "micl":

@@ -475,8 +475,8 @@ def run_micl(dataset: Dataset, g: int, hyper: Hyperparameters,
         return model, z, MiclState(tables, model, z).log_icl
     rngs = [seeded_rng(config.seed, 91, s) for s in range(config.n_starts)]
     omegas = [rng.integers(0, 2, size=dataset.d).astype(np.int8) for rng in rngs]
-    fits = run_starts(dataset, g, [(derive_seed(config.seed, 92, s), omega0)
-                                   for s, omega0 in enumerate(omegas)],
+    fits = run_starts(dataset, [(g, derive_seed(config.seed, 92, s), omega0)
+                                for s, omega0 in enumerate(omegas)],
                       replace(config, **START_EM), None)
     best: tuple | None = None
     for rng, omega0, fit in zip(rngs, omegas, fits):

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import math
+import os
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -42,17 +44,43 @@ def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any], threads: int = 
         return list(pool.map(fn, items))
 
 
+class NonFiniteValue(ValueError):
+    """A NaN or infinite float where ``dump_json`` writes a number."""
+
+
 def _jsonable(obj: Any):
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _first_non_finite(obj: Any, where: str = ""):
+    """(path, value) of the first NaN or infinite float in the decoded JSON
+    value ``obj``, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (where, obj)
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        found = _first_non_finite(value, f"{where}[{key!r}]")
+        if found:
+            return found
+    return None
+
+
 def dump_json(obj: Any, path: str) -> None:
     """Write ``obj`` as JSON indented by 2, numpy arrays and scalars as their
     Python values. Floats take Python's shortest round-trip form, so they read
-    back equal; a non-finite float raises ``ValueError``. The file is written
-    only once the whole text is built, so a failed dump leaves no file."""
-    text = json.dumps(obj, indent=2, allow_nan=False, default=_jsonable)
+    back equal; a non-finite float raises ``NonFiniteValue``, which names the
+    file and the value's place. The file is written only once the whole text
+    is built, so a failed dump leaves no file."""
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False, default=_jsonable)
+    except ValueError:
+        found = _first_non_finite(json.loads(json.dumps(obj, default=_jsonable)))
+        if found is None:
+            raise
+        raise NonFiniteValue(f"{os.path.basename(path)}: {found[0]} is {found[1]}, "
+                             "not a finite number") from None
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")

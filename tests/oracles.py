@@ -224,20 +224,20 @@ def sequential_em_starts(dataset, g, omega0, cfg, penalty_c):
     start is discarded, one floored start that accepts spikes runs. Returns
     the kept starts as dicts in start order, the first best of them, and the
     number of failed runs."""
-    packed = dataset.packed()
+    packed, gs = dataset.packed(), np.array([g])
 
     def run(rng, floor):
         omega = omega0 if omega0 is not None else \
             rng.integers(0, 2, size=packed.d).astype(np.int8)
         tau, blocks = em._init_theta(packed, g, omega, rng)
-        t, _ = em._e_kernel(packed, tau[None], blocks)
+        t, _ = em._e_kernel(packed, tau, gs, blocks)
         omega, trace = omega[None], []
         for _ in range(cfg.max_iterations):
             tau, blocks, omega, _, empty, spiky = em._m_slots(
-                packed, t, g, omega, floor, penalty_c)
+                packed, t, gs, omega, floor, penalty_c)
             if not floor and (empty.any() or spiky.any()):
                 raise StartFailed
-            t, loglik = em._e_kernel(packed, tau, blocks)
+            t, loglik = em._e_kernel(packed, tau, gs, blocks)
             penalty = 0.0 if penalty_c is None else \
                 count_params(Model(g, omega[0]), dataset.kinds) * penalty_c
             trace.append(float(loglik[0]) - penalty)
@@ -245,7 +245,7 @@ def sequential_em_starts(dataset, g, omega0, cfg, penalty_c):
                     cfg.rel_tolerance:
                 break
         return {"trace": np.array(trace), "omega": omega[0], "labels": t.argmax(axis=0) + 1,
-                "degenerate": bool(em._spikes(packed, blocks[1], omega).any())}
+                "degenerate": bool(em._spikes(packed, blocks[1], omega, gs).any())}
 
     kept, failed = [], 0
     for s in range(cfg.n_starts):

@@ -1,11 +1,19 @@
+import contextlib
 import functools
+import io
 import json
+import os
+import string
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixsel import Dataset, VariableKind
 from mixsel.cli import main
+from mixsel.criteria import CRITERIA
 from mixsel.em import EmConfig
 from mixsel.io import write_csv, write_schema
 
@@ -258,7 +266,7 @@ def test_cluster_gmax_above_the_row_count_exits_one_before_any_fit(tmp_path, cap
                                                                    monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("a fit ran")
-    monkeypatch.setattr("mixsel.criteria.run_penalized_em", no_fit)
+    monkeypatch.setattr("mixsel.criteria.run_starts", no_fit)
     data, out = tmp_path / "three.csv", tmp_path / "run"
     data.write_text("x,k\n0.5,1\n1.5,2\n2.5,4\n")
     code = main(["cluster", str(data), "--gmax", "4", "--starts", "2", "--seed", "1",
@@ -267,6 +275,17 @@ def test_cluster_gmax_above_the_row_count_exits_one_before_any_fit(tmp_path, cap
     err = capsys.readouterr().err.splitlines()
     assert err == ["numerical failure: g_max 4 exceeds n = 3, the number of rows"]
     assert not out.exists()
+
+
+def test_cluster_lets_a_programming_error_through(sample_csv, tmp_path, monkeypatch):
+    # only named failures exit 1; any other ValueError keeps its traceback
+    def broken(*args, **kwargs):
+        raise ValueError("not a numerical failure")
+    monkeypatch.setattr("mixsel.cli.select_model", broken)
+    data, schema = sample_csv
+    with pytest.raises(ValueError, match="not a numerical failure"):
+        main(["cluster", data, "--schema", schema, "--seed", "1",
+              "--out", str(tmp_path / "run")])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -356,6 +375,7 @@ def test_cluster_flags_a_winner_cut_at_its_iteration_budget(sample_csv, tmp_path
     model = json.loads((out / "model.json").read_text())
     # a one-class fit is at its optimum after one M step; two classes are not
     assert [rec["converged"] for rec in model["per_g"]] == [True, False, False]
+    assert [rec["n_iterations"] for rec in model["per_g"]] == [2, 2, 2]
     assert model["g_best"] == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("warning: ")
@@ -370,9 +390,80 @@ def test_cluster_records_flags_per_g(sample_csv, tmp_path, capsys):
                      "--gmax", "2", "--starts", "3", "--seed", "7", "--out", str(out)]) == 0
         model = json.loads((out / "model.json").read_text())
         for rec in model["per_g"]:
-            flags = (rec["loglik"], rec["converged"], rec["degenerate"])
+            flags = (rec["loglik"], rec["n_iterations"], rec["converged"], rec["degenerate"])
             if criterion == "bic" or rec["g"] == model["g_best"]:
-                assert flags[1:] == (True, False) and flags[0] is not None
+                assert flags[2:] == (True, False) and flags[0] is not None
+                assert isinstance(flags[1], int) and 2 <= flags[1] < 500
             else:  # micl runs EM only for its winner
-                assert flags == (None, None, None)
+                assert flags == (None, None, None, None)
         assert capsys.readouterr().err == ""
+
+
+# extreme but valid cells, and missing ones; declared cat columns list all
+# 26 letters as levels
+FUZZ_CELLS = {"cont": ["1e150", "-1e150", "1e-300", "0", "0.5", "-2.25", "3.0", "NA", ""],
+              "int": ["0", "1", "3", str(2 ** 40), "NA", ""],
+              "cat": ["a", "b", "c", "d", "z", "NA", ""]}
+
+
+@st.composite
+def _fuzz_csv(draw):
+    """(column kinds, rows, whether a schema declares the kinds): rows drawn
+    from a pool of at most 6, so duplicate rows are common."""
+    kinds = draw(st.lists(st.sampled_from(sorted(FUZZ_CELLS)), min_size=1, max_size=3))
+    pool = draw(st.lists(st.tuples(*[st.sampled_from(FUZZ_CELLS[k]) for k in kinds]),
+                         min_size=1, max_size=6))
+    return kinds, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=14)), draw(st.booleans())
+
+
+def _quiet_main(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+def _outputs(out_dir):
+    """The files a same-seed rerun reproduces, without their manifest lines."""
+    files = {}
+    for name in ("model.json", "partition.csv", "parameters.json"):
+        with open(os.path.join(out_dir, name), encoding="utf-8") as fh:
+            files[name] = [line for line in fh if "manifest_id" not in line]
+    return files
+
+
+@settings(max_examples=80, deadline=None)
+@given(_fuzz_csv(), st.sampled_from(CRITERIA), st.integers(1, 4), st.integers(0, 3))
+def test_cluster_on_extreme_valid_cells_answers_or_names_its_failure(data, criterion, gmax,
+                                                                     seed):
+    # exit 0 with finite outputs that a same-seed rerun repeats byte for
+    # byte, or exit 1 or 2 with one line naming the cause; g_max may exceed
+    # n, and one g's starts may all be discarded while the others' run on
+    kinds, rows, declared = data
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(f"c{j}" for j in range(len(kinds))) + "\n")
+            fh.writelines(",".join(row) + "\n" for row in rows)
+        argv = ["cluster", path, "--criterion", criterion, "--gmax", str(gmax),
+                "--starts", "2", "--seed", str(seed)]
+        if declared:
+            levels = ":" + "|".join(string.ascii_lowercase)
+            with open(os.path.join(tmp, "data.schema"), "w", encoding="utf-8") as fh:
+                fh.writelines(f"c{j}:{kind}{levels if kind == 'cat' else ''}\n"
+                              for j, kind in enumerate(kinds))
+            argv += ["--schema", os.path.join(tmp, "data.schema")]
+        code, err = _quiet_main(argv + ["--out", os.path.join(tmp, "a")])
+        if code != 0:
+            assert code in (1, 2) and len(err) == 1, err
+            prefix = "numerical failure: " if code == 1 else "error: "
+            assert err[0].startswith(prefix) and len(err[0]) > len(prefix) + 10, err
+            assert "JSON" not in err[0]
+            return
+        first = _outputs(os.path.join(tmp, "a"))
+        model = json.loads("".join(first["model.json"]))
+        assert np.isfinite([rec["value"] for rec in model["per_g"]]).all()
+        labels = [line.split(",") for line in first["partition.csv"][1:]]
+        assert np.isfinite([[float(v) for v in row[2:]] for row in labels]).all()
+        assert _quiet_main(argv + ["--out", os.path.join(tmp, "b")])[0] == 0
+        assert _outputs(os.path.join(tmp, "b")) == first

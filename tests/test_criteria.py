@@ -139,3 +139,49 @@ def test_each_record_holds_the_fit_behind_its_value(criterion):
             assert rec.value == log_integrated_complete(
                 ds, map_partition(rec.fit.fuzzy), rec.model, Hyperparameters.default(ds))
     assert np.array_equal(report.partition, map_partition(report.best.fit.fuzzy))
+
+
+def _sweep_sets():
+    """(dataset, g_max, per-g fallback or None): mixed columns with missing
+    cells; the all-spiked duplicates of tests/test_em.py, where only g = 3
+    runs the floored fallback start (plain EM); and the same rows at
+    g_max = n."""
+    rng = np.random.default_rng(12)
+    z = np.repeat([0, 1], 30)
+    X = np.column_stack([rng.normal(2.5 * z, 1.0), rng.normal(size=60),
+                         rng.poisson(2.0 + 3.0 * z)]).astype(float)
+    mask = rng.random(X.shape) > 0.15
+    dup = Dataset(np.array([[0], [0], [5], [5], [10], [10]], float), [CONT])
+    return {"mixed-missing": (Dataset(X, [CONT, CONT, INT], mask=mask), 3, None),
+            "all-spiked": (dup, 3, [False, False, True]),
+            "gmax-n": (dup, dup.n, None)}
+
+
+@pytest.mark.parametrize("criterion", ["bic", "aic", "bic-noselect", "icl-noselect"])
+@pytest.mark.parametrize("case", ["mixed-missing", "all-spiked", "gmax-n"])
+def test_sweep_stack_fits_equal_the_one_g_runs(criterion, case):
+    # the starts of every g run as one stack; each g's fit is the one its
+    # own run gives at the seed select_model derives for that g
+    from dataclasses import replace
+    from mixsel import run_em, run_penalized_em
+    from mixsel.util import derive_seed
+    ds, g_max, fallback = _sweep_sets()[case]
+    cfg = EmConfig(seed=5, n_starts=3)
+    report = select_model(ds, criterion, g_max, cfg)
+    assert [rec.g for rec in report.records] == list(range(1, g_max + 1))
+    for rec in report.records:
+        one = replace(cfg, seed=derive_seed(cfg.seed, 17, rec.g))
+        if criterion in ("bic", "aic"):
+            c = 0.5 * np.log(ds.n) if criterion == "bic" else 1.0
+            alone = run_penalized_em(ds, rec.g, c, one)
+        else:
+            alone = run_em(ds, Model(rec.g, np.ones(ds.d)), one)
+        fit = rec.fit
+        assert np.array_equal(fit.model.omega, alone.model.omega)
+        assert np.array_equal(map_partition(fit.fuzzy), map_partition(alone.fuzzy))
+        assert (fit.start_index, fit.n_iterations, fit.converged, fit.degenerate) == \
+            (alone.start_index, alone.n_iterations, alone.converged, alone.degenerate)
+        assert fit.loglik == pytest.approx(alone.loglik, rel=1e-12, abs=0.0)
+        assert fit.objective == pytest.approx(alone.objective, rel=1e-12, abs=0.0)
+    if fallback is not None and criterion.endswith("noselect"):
+        assert [rec.fit.start_index == cfg.n_starts for rec in report.records] == fallback

@@ -239,7 +239,7 @@ def test_delta_is_the_cell_by_cell_expected_loglik_gain():
     assert omega.any() and not omega.all()
     st = packed.class_sums(t)
     blocks = em._install(*em._per_class_blocks(packed, st), packed.one_class.blocks)
-    wll = em._weighted_loglik_by_column(packed, st, blocks, 2)[0]
+    wll = em._weighted_loglik_by_column(packed, st, blocks, np.array([2]))[0]
     theta = em._parameters(packed, tau, blocks)
     shared = em._parameters(packed, [1.0], packed.one_class.blocks)
     for j, kind in enumerate(ds.kinds):

@@ -397,10 +397,10 @@ def test_micl_winner_is_refit_from_its_partition_alone(monkeypatch):
     # the micl answer runs no random-start EM after the MICL search
     import mixsel.criteria as criteria
 
-    def no_run_em(*args):
-        raise AssertionError("run_em called")
+    def no_run_starts(*args):
+        raise AssertionError("a random-start EM ran")
 
-    monkeypatch.setattr(criteria, "run_em", no_run_em)
+    monkeypatch.setattr(criteria, "run_starts", no_run_starts)
     ds, _ = _indep_truth()
     cfg = EmConfig(seed=3, n_starts=3)
     report = select_model(ds, "micl", 3, cfg)
@@ -546,7 +546,8 @@ def _assert_fit_matches(ds, res, kept, best):
     assert np.array_equal(res.model.omega, best["omega"])
     assert np.array_equal(map_partition(res.fuzzy), best["labels"])
     assert res.degenerate == best["degenerate"]
-    assert res.degenerate == em._spikes(ds.packed(), res.theta.sigma, res.model.omega[None]).any()
+    assert res.degenerate == em._spikes(ds.packed(), res.theta.sigma, res.model.omega[None],
+                                        [res.model.g]).any()
 
 
 @pytest.mark.parametrize("case", ["all-spiked", "redrawn", "floored", "clean", "budget"])
@@ -558,7 +559,7 @@ def test_stacked_starts_match_the_sequential_reference(case, monkeypatch):
         # a class under n/4 counts as empty: every start fails all 1 +
         # MAX_REDRAWS draws and is discarded, so the floored fallback runs
         monkeypatch.setattr(em, "EMPTY_COMPONENT_TOL", 0.25 * ds.n)
-    res, = em.run_starts(ds, g, [(cfg.seed, omega0)], cfg, c)
+    res, = em.run_starts(ds, [(g, cfg.seed, omega0)], cfg, c)
     kept, best, n_failed = sequential_em_starts(ds, g, omega0, cfg, c)
     assert n_failed == failed
     if case == "budget":
@@ -574,10 +575,10 @@ def test_fits_of_one_stack_match_the_sequential_reference():
     from oracles import sequential_em_starts
     ds, g = _three_duplicate_pairs()
     cfg = EmConfig(seed=0, n_starts=3)
-    fits = [(0, np.ones(1, np.int8)), (1, np.zeros(1, np.int8))]
-    results = em.run_starts(ds, g, fits, cfg, None)
+    fits = [(g, 0, np.ones(1, np.int8)), (g, 1, np.zeros(1, np.int8))]
+    results = em.run_starts(ds, fits, cfg, None)
     assert len(results) == len(fits)
-    for res, (seed, omega), fallback in zip(results, fits, (True, False)):
+    for res, (_, seed, omega), fallback in zip(results, fits, (True, False)):
         kept, best, _ = sequential_em_starts(ds, g, omega, replace(cfg, seed=seed), None)
         assert (best["start"] == cfg.n_starts) == fallback
         _assert_fit_matches(ds, res, kept, best)
@@ -604,15 +605,16 @@ def test_a_failed_slot_leaves_the_other_slots_alone():
     single = np.vstack([np.eye(ds.n)[0], 1.0 - np.eye(ds.n)[0]])
     t = np.vstack([hollow, soft, hollow, single])
     omega = np.ones((4, ds.d), np.int8)
-    tau, blocks, _, _, empty, spiky = em._m_slots(packed, t, 2, omega)
-    assert empty.tolist() == [[False, True], [False, False], [False, True], [False, False]]
+    tau, blocks, _, _, empty, spiky = em._m_slots(packed, t, np.full(4, 2), omega)
+    assert empty.reshape(4, 2).tolist() == \
+        [[False, True], [False, False], [False, True], [False, False]]
     assert spiky.reshape(4, 2, -1).any(axis=2).tolist() == \
         [[False, False], [False, False], [False, False], [True, False]]
-    assert np.array_equal(tau[0], [1.0, 0.0])
+    assert np.array_equal(tau[:2], [1.0, 0.0])
     # a floored call lifts the empty component's proportion instead
-    lifted, *_ = em._m_slots(packed, hollow, 2, omega[:1], floor=True)
-    assert np.array_equal(lifted[0], np.array([ds.n, 1e-10]) / (ds.n + 1e-10))
-    alone_tau, alone, *_ = em._m_slots(packed, soft, 2, omega[:1])
-    assert np.allclose(tau[1], alone_tau[0], rtol=1e-12, atol=0.0)
+    lifted, *_ = em._m_slots(packed, hollow, np.array([2]), omega[:1], floor=True)
+    assert np.array_equal(lifted, np.array([ds.n, 1e-10]) / (ds.n + 1e-10))
+    alone_tau, alone, *_ = em._m_slots(packed, soft, np.array([2]), omega[:1])
+    assert np.allclose(tau[2:4], alone_tau, rtol=1e-12, atol=0.0)
     for got, want in zip(blocks, alone):
         assert np.allclose(got[2:4], want, rtol=1e-12, atol=0.0)

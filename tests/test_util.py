@@ -44,9 +44,17 @@ def test_parallel_map_runs_serially_without_a_pool(monkeypatch):
 @pytest.mark.parametrize("bad", [float("nan"), np.inf, np.array([1.0, -np.inf])])
 def test_dump_json_rejects_non_finite_and_writes_no_file(tmp_path, bad):
     path = tmp_path / "out.json"
-    with pytest.raises(ValueError):
+    with pytest.raises(util.NonFiniteValue, match=r"^out\.json: \['bad'\]\[0\]"):
         util.dump_json({"ok": 1.0, "bad": [bad]}, str(path))
     assert not path.exists()
+
+
+def test_dump_json_passes_other_value_errors_on(tmp_path):
+    loop = []
+    loop.append(loop)
+    with pytest.raises(ValueError, match="Circular") as exc:
+        util.dump_json({"loop": loop}, str(tmp_path / "out.json"))
+    assert not isinstance(exc.value, util.NonFiniteValue)
 
 
 def test_dump_json_serializes_numpy_values(tmp_path):
